@@ -7,16 +7,7 @@ entities; and brute-force oracles for verification.
 """
 
 from .carry import common_carry_dfn, common_carry_tri
-from .crisp import (
-    Form,
-    OperatorSpec,
-    TransformResult,
-    crisp_D,
-    crisp_F,
-    crisp_L,
-    crisp_M,
-    valence_matches,
-)
+from .crisp import Form, OperatorSpec, TransformResult, valence_matches
 from .errors import (
     DomainError,
     FuzzySnsError,
@@ -55,7 +46,17 @@ from .numbers import (
     tfn_scale,
     tfn_sub,
 )
-from .operators import TransformOptions, apply_D, apply_F, apply_L, apply_M
+from .operators import (
+    TransformOptions,
+    apply_D,
+    apply_F,
+    apply_L,
+    apply_M,
+    crisp_D,
+    crisp_F,
+    crisp_L,
+    crisp_M,
+)
 from .oracle import alpha_cut_check, equivalence_suite, random_dfn, zadeh_oracle
 from .scenario import Diagnostic, Multeity, Scenario, Trace, TraceStep, run, validate
 

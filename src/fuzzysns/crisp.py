@@ -1,19 +1,18 @@
-"""The four crisp cardinal semantic operators over natural-number cardinals.
+"""Records shared by the operators and the scenario layer.
 
-Each operator turns multiples of operand cardinals into units of image
-cardinals: a carry is floored out of each operand over its radix, a common
-carry is formed for multi-operand forms, and each image gains carry times its
-conversion rate.  These are the baselines every fuzzy path must collapse to
-when all inputs are degenerate.
+The four operator forms, their valences, one operator application inside a
+scenario, and everything one application produces.  The operators
+themselves, crisp and fuzzy alike, are one algorithm in
+:mod:`fuzzysns.operators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import DomainError, InvalidRadixError, OperatorSpecError
+from .errors import OperatorSpecError
 from .numbers import FuzzyScalar
 
 
@@ -29,7 +28,7 @@ class Form(str, Enum):
 def valence_matches(form: Form, w: int, v: int) -> bool:
     """Strict operand/image counts per form: L=(1,1), D=(1,>=2), F=(>=2,1), M=(>=2,>=2).
 
-    The bare operator functions below are deliberately looser (any W, V >= 1)
+    The operator functions themselves are deliberately looser (any W, V >= 1)
     so degenerate valences can be cross-checked; scenarios enforce this rule.
     """
     if form == Form.L:
@@ -104,167 +103,3 @@ class TransformResult:
     @property
     def new_image(self) -> FuzzyScalar:
         return self._single(self.new_image_cardinals, "image cardinal")
-
-
-def _natural(value: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{what} must be a natural number, got {value}")
-    return value
-
-
-def _radix(value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"radix must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidRadixError(f"radix must be >= 1, got {value}")
-    return value
-
-
-def _default_ids(prefix: str, count: int, single: str) -> tuple[str, ...]:
-    if count == 1:
-        return (single,)
-    return tuple(f"{prefix}{k}" for k in range(1, count + 1))
-
-
-def crisp_L(
-    operand: int,
-    image: int,
-    radix: int,
-    rate: int,
-    *,
-    operand_id: str = "i",
-    image_id: str = "j",
-) -> TransformResult:
-    """Line operator: one operand, one image.
-
-    carry = operand // radix; remainder = operand mod radix;
-    transformant = carry * rate; image gains the transformant.
-    """
-    n = _radix(radix)
-    big_n = _natural(operand, "operand cardinal")
-    img = _natural(image, "image cardinal")
-    r = _natural(rate, "conversion rate")
-    carry = big_n // n
-    remainder = big_n - carry * n
-    transformant = carry * r
-    return TransformResult(
-        partial_carries={operand_id: carry},
-        common_carry=None,
-        remainders={operand_id: remainder},
-        transformants={image_id: transformant},
-        new_image_cardinals={image_id: img + transformant},
-    )
-
-
-def crisp_D(
-    operand: int,
-    images: Sequence[int],
-    radix: int,
-    rates: Sequence[int],
-    *,
-    operand_id: str = "i",
-    image_ids: Sequence[str] | None = None,
-) -> TransformResult:
-    """Distribution operator: one carry fans out to several images."""
-    if len(images) != len(rates):
-        raise OperatorSpecError(f"{len(images)} images but {len(rates)} rates")
-    if not images:
-        raise OperatorSpecError("distribution needs at least one image")
-    n = _radix(radix)
-    big_n = _natural(operand, "operand cardinal")
-    ids = tuple(image_ids) if image_ids is not None else _default_ids("j", len(images), "j")
-    if len(ids) != len(images):
-        raise OperatorSpecError("image id count does not match image count")
-    carry = big_n // n
-    remainder = big_n - carry * n
-    transformants = {}
-    new_images = {}
-    for img_id, img, r in zip(ids, images, rates):
-        q = carry * _natural(r, "conversion rate")
-        transformants[img_id] = q
-        new_images[img_id] = _natural(img, "image cardinal") + q
-    return TransformResult(
-        partial_carries={operand_id: carry},
-        common_carry=None,
-        remainders={operand_id: remainder},
-        transformants=transformants,
-        new_image_cardinals=new_images,
-    )
-
-
-def crisp_F(
-    operands: Sequence[int],
-    image: int,
-    radices: Sequence[int],
-    rate: int,
-    *,
-    operand_ids: Sequence[str] | None = None,
-    image_id: str = "k",
-) -> TransformResult:
-    """Fusion operator: partial carries per operand, common carry = their min.
-
-    Remainders subtract the common carry (N_w - p * n_w), which differs from
-    N_w mod n_w whenever the common carry is below an operand's own carry.
-    """
-    if len(operands) != len(radices):
-        raise OperatorSpecError(f"{len(operands)} operands but {len(radices)} radices")
-    if not operands:
-        raise OperatorSpecError("fusion needs at least one operand")
-    ids = tuple(operand_ids) if operand_ids is not None else _default_ids("i", len(operands), "i")
-    if len(ids) != len(operands):
-        raise OperatorSpecError("operand id count does not match operand count")
-    img = _natural(image, "image cardinal")
-    r = _natural(rate, "conversion rate")
-    partials = {}
-    values = {}
-    ns = {}
-    for op_id, big_n, n in zip(ids, operands, radices):
-        values[op_id] = _natural(big_n, "operand cardinal")
-        ns[op_id] = _radix(n)
-        partials[op_id] = values[op_id] // ns[op_id]
-    common = min(partials.values())
-    remainders = {op_id: values[op_id] - common * ns[op_id] for op_id in ids}
-    transformant = common * r
-    return TransformResult(
-        partial_carries=partials,
-        common_carry=common,
-        remainders=remainders,
-        transformants={image_id: transformant},
-        new_image_cardinals={image_id: img + transformant},
-    )
-
-
-def crisp_M(
-    operands: Sequence[int],
-    images: Sequence[int],
-    radices: Sequence[int],
-    rates: Sequence[int],
-    *,
-    operand_ids: Sequence[str] | None = None,
-    image_ids: Sequence[str] | None = None,
-) -> TransformResult:
-    """Multi operator: fusion-style common carry, distribution-style fan-out."""
-    fused = crisp_F(operands, 0, radices, 0, operand_ids=operand_ids)
-    if len(images) != len(rates):
-        raise OperatorSpecError(f"{len(images)} images but {len(rates)} rates")
-    if not images:
-        raise OperatorSpecError("multi operator needs at least one image")
-    ids = tuple(image_ids) if image_ids is not None else _default_ids("k", len(images), "k")
-    if len(ids) != len(images):
-        raise OperatorSpecError("image id count does not match image count")
-    common = fused.common_carry
-    transformants = {}
-    new_images = {}
-    for img_id, img, r in zip(ids, images, rates):
-        q = common * _natural(r, "conversion rate")
-        transformants[img_id] = q
-        new_images[img_id] = _natural(img, "image cardinal") + q
-    return TransformResult(
-        partial_carries=fused.partial_carries,
-        common_carry=common,
-        remainders=fused.remainders,
-        transformants=transformants,
-        new_image_cardinals=new_images,
-    )

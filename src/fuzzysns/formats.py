@@ -56,10 +56,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_scalar(value: FuzzyScalar) -> str:
-    if isinstance(value, TriangularFuzzyNumber):
-        return str(value)
-    if isinstance(value, DiscreteFuzzyNumber):
-        return str(value)
+    """The literal of a crisp, triangular or discrete value; each type's ``str``."""
     return str(value)
 
 

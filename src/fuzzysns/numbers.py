@@ -188,6 +188,27 @@ def lift_discrete(value: FuzzyScalar) -> DiscreteFuzzyNumber:
     return DiscreteFuzzyNumber(((v, Fraction(1)),))
 
 
+def _lowest(value: FuzzyScalar) -> int:
+    """The least value a crisp, triangular or discrete scalar can take."""
+    if isinstance(value, TriangularFuzzyNumber):
+        return value.lower
+    if isinstance(value, DiscreteFuzzyNumber):
+        return value.points[0][0]
+    return _as_int(value, "crisp value")
+
+
+def _check_radix(value: FuzzyScalar) -> None:
+    """The one radix rule: every value a radix can take is at least 1."""
+    if _lowest(value) < 1:
+        raise InvalidRadixError(f"radix must be >= 1, got {value}")
+
+
+def _check_natural(value: FuzzyScalar, what: str) -> None:
+    """The one natural-number rule: every value ``value`` can take is at least 0."""
+    if _lowest(value) < 0:
+        raise DomainError(f"{what} must be >= 0, got {value}")
+
+
 def crisp_value(value: FuzzyScalar) -> int | None:
     """The crisp integer a degenerate fuzzy value collapses to, else None."""
     if isinstance(value, TriangularFuzzyNumber):
@@ -230,14 +251,13 @@ def tfn_sub(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> TriangularFuz
 
 def tfn_mul(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
     """Componentwise product; defined only for componentwise-nonnegative triples."""
-    if a.lower < 0 or b.lower < 0:
-        raise DomainError("componentwise product requires nonnegative triples")
+    _check_natural(a, "componentwise factor")
+    _check_natural(b, "componentwise factor")
     return TriangularFuzzyNumber(a.lower * b.lower, a.mode * b.mode, a.upper * b.upper)
 
 
 def tfn_scale(a: TriangularFuzzyNumber, c: int) -> TriangularFuzzyNumber:
-    if _as_int(c, "scale factor") < 0:
-        raise DomainError("scale factor must be a natural number")
+    _check_natural(_as_int(c, "scale factor"), "scale factor")
     return TriangularFuzzyNumber(a.lower * c, a.mode * c, a.upper * c)
 
 
@@ -246,10 +266,8 @@ def tfn_floor_div(num: TriangularFuzzyNumber, div: TriangularFuzzyNumber) -> Tri
 
     The divisor components pair in reverse so the result stays ordered.
     """
-    if div.lower < 1:
-        raise InvalidRadixError(f"divisor components must be >= 1, got {div}")
-    if num.lower < 0:
-        raise DomainError(f"dividend components must be >= 0, got {num}")
+    _check_radix(div)
+    _check_natural(num, "dividend")
     return TriangularFuzzyNumber(
         num.lower // div.upper, num.mode // div.mode, num.upper // div.lower
     )
@@ -277,6 +295,16 @@ def dfn_zadeh_binary(
     return DiscreteFuzzyNumber(out)
 
 
+def _dfn_map(a: DiscreteFuzzyNumber, f: Callable[[int], int]) -> DiscreteFuzzyNumber:
+    """Image of ``a`` under an integer function; values that collide keep the max grade."""
+    out: dict[int, Fraction] = {}
+    for t, g in a.points:
+        z = f(t)
+        if g > out.get(z, Fraction(0)):
+            out[z] = g
+    return DiscreteFuzzyNumber(out)
+
+
 def dfn_floor_div(
     a: DiscreteFuzzyNumber, n: Union[int, DiscreteFuzzyNumber]
 ) -> DiscreteFuzzyNumber:
@@ -286,17 +314,10 @@ def dfn_floor_div(
     a discrete radix extends over support pairs.  Collisions keep max grade.
     """
     if isinstance(n, DiscreteFuzzyNumber):
-        if n.points[0][0] < 1:
-            raise InvalidRadixError(f"radix support values must be >= 1, got {n}")
+        _check_radix(n)
         return dfn_zadeh_binary(lambda t, s: t // s, a, n)
-    if _as_int(n, "radix") < 1:
-        raise InvalidRadixError(f"radix must be >= 1, got {n}")
-    out: dict[int, Fraction] = {}
-    for t, g in a.points:
-        z = t // n
-        if g > out.get(z, Fraction(0)):
-            out[z] = g
-    return DiscreteFuzzyNumber(out)
+    _check_radix(_as_int(n, "radix"))
+    return _dfn_map(a, lambda t: t // n)
 
 
 def dfn_mod(a: DiscreteFuzzyNumber, n: int) -> DiscreteFuzzyNumber:
@@ -305,11 +326,5 @@ def dfn_mod(a: DiscreteFuzzyNumber, n: int) -> DiscreteFuzzyNumber:
     This is the reading that keeps the remainder paired with the support value
     it came from; the cross-product alternative is a separate, selectable path.
     """
-    if _as_int(n, "radix") < 1:
-        raise InvalidRadixError(f"radix must be >= 1, got {n}")
-    out: dict[int, Fraction] = {}
-    for t, g in a.points:
-        z = t % n
-        if g > out.get(z, Fraction(0)):
-            out[z] = g
-    return DiscreteFuzzyNumber(out)
+    _check_radix(_as_int(n, "radix"))
+    return _dfn_map(a, lambda t: t % n)

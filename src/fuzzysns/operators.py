@@ -1,47 +1,42 @@
-"""Fuzzy cardinal semantic operators over any mix of crisp and fuzzy slots.
+"""The four carry-kind operators, written once for every form and family.
 
-Each operator accepts crisp integers, discrete fuzzy numbers, or triangular
-fuzzy numbers in every slot (cardinals, radices, conversion rates), with one
-restriction: discrete and triangular values cannot meet in a single call.
-Crisp arguments are lifted into the fuzzy family of the call; because the
-lifts are arithmetic identities, every published mixed-fuzziness case falls
-out of the one general path per family.
+Line (L), distribution (D), fusion (F) and multi (M) are one algorithm over
+W >= 1 operands and V >= 1 images: floor a partial carry out of each operand
+over its radix, form a common carry from the partials (F and M only), subtract
+carry times radix for each operand's remainder, and give each image the carry
+times its conversion rate.  :func:`_apply` runs it over a small per-family
+arithmetic (crisp integers, discrete fuzzy numbers, triangular fuzzy numbers);
+``apply_*`` and ``crisp_*`` only shape their arguments for it.
+
+Every slot (cardinals, radices, conversion rates) accepts crisp integers,
+discrete fuzzy numbers or triangular fuzzy numbers, with one restriction:
+discrete and triangular values cannot meet in a single call.  Crisp arguments
+are lifted into the fuzzy family of the call; because the lifts are arithmetic
+identities, every published mixed-fuzziness case falls out of the one path.
 
 Remainder semantics for the discrete family are configurable: the default
 ``correlated`` mode maps each support value straight to its own remainder
 (t mod n), while ``extension`` mode composes N - carry * radix with full
 cross-product extension, which decorrelates the carry from its source value
-and can produce negative support values.  Formed common carries
-(fusion/multi) always use the extension subtraction, since a formed carry
-has no source value to correlate with.
+and can produce negative support values.  Formed common carries (F and M, even
+with a single operand) always use the extension subtraction, since a formed
+carry has no source value to correlate with.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 from .carry import common_carry_dfn, common_carry_tri
-from .crisp import TransformResult, crisp_D, crisp_F, crisp_L, crisp_M, _default_ids
-from .errors import DomainError, InvalidRadixError, OperatorSpecError
+from .crisp import TransformResult
+from .errors import OperatorSpecError
 from .numbers import (
-    CRISP,
-    DISCRETE,
-    DiscreteFuzzyNumber,
-    FuzzyScalar,
-    TriangularFuzzyNumber,
-    dfn_floor_div,
-    dfn_mod,
-    dfn_zadeh_binary,
-    joint_family,
-    lift_discrete,
-    lift_triangular,
-    tfn_add,
-    tfn_floor_div,
-    tfn_mul,
-    tfn_sub,
+    CRISP, DISCRETE, TRIANGULAR, DiscreteFuzzyNumber, FuzzyScalar, TriangularFuzzyNumber,
+    _as_int, _check_natural, _check_radix, _dfn_map, _lowest, dfn_floor_div, dfn_mod,
+    dfn_zadeh_binary, joint_family, lift_discrete, lift_triangular,
+    tfn_add, tfn_floor_div, tfn_mul, tfn_sub,
 )
 
 RemainderMode = Literal["correlated", "extension"]
@@ -67,324 +62,232 @@ class TransformOptions:
 DEFAULT_OPTIONS = TransformOptions()
 
 
-def _check_nonneg(value: FuzzyScalar, what: str) -> None:
-    if isinstance(value, TriangularFuzzyNumber):
-        if value.lower < 0:
-            raise DomainError(f"{what} must be nonnegative, got {value}")
-    elif isinstance(value, DiscreteFuzzyNumber):
-        if not value.is_natural:
-            raise DomainError(f"{what} must have natural support values, got {value}")
-    elif value < 0:
-        raise DomainError(f"{what} must be a natural number, got {value}")
+# --- per-family arithmetic ---------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """The arithmetic one family lends the operator algorithm.
+
+    ``floor_div`` takes the radix unlifted; ``common`` forms a common carry
+    from a list of partial carries; ``clamp`` and ``negative`` (the warning's
+    wording) handle a remainder that dips below zero, which a crisp one never
+    does; ``correlated`` maps each support value to its own remainder and
+    exists for the discrete family only.
+    """
+
+    lift: Callable
+    floor_div: Callable
+    mul: Callable
+    add: Callable
+    sub: Callable
+    common: Callable
+    clamp: Optional[Callable] = None
+    negative: str = ""
+    correlated: Optional[Callable] = None
 
 
-def _check_radix(value: FuzzyScalar) -> None:
-    if isinstance(value, TriangularFuzzyNumber):
-        if value.lower < 1:
-            raise InvalidRadixError(f"radix components must be >= 1, got {value}")
-    elif isinstance(value, DiscreteFuzzyNumber):
-        if value.points[0][0] < 1:
-            raise InvalidRadixError(f"radix support values must be >= 1, got {value}")
-    elif value < 1:
-        raise InvalidRadixError(f"radix must be >= 1, got {value}")
+# The lambdas look the module's functions up at call time, so a wrapper that
+# replaces one of these module attributes (a profiler, say) sees every call.
+_FAMILIES = {
+    CRISP: _Family(
+        lift=lambda value: value,
+        floor_div=operator.floordiv,
+        mul=operator.mul,
+        add=operator.add,
+        sub=operator.sub,
+        common=min,
+    ),
+    DISCRETE: _Family(
+        lift=lambda value: lift_discrete(value),
+        floor_div=lambda cardinal, radix: dfn_floor_div(cardinal, radix),
+        mul=lambda a, b: dfn_zadeh_binary(operator.mul, a, b),
+        add=lambda a, b: dfn_zadeh_binary(operator.add, a, b),
+        sub=lambda a, b: dfn_zadeh_binary(operator.sub, a, b),
+        common=lambda partials: common_carry_dfn(partials),
+        clamp=lambda value: _dfn_map(value, lambda v: max(0, v)),
+        negative="has negative support values (min {})",
+        correlated=lambda cardinal, radix: (
+            dfn_zadeh_binary(operator.mod, cardinal, radix)
+            if isinstance(radix, DiscreteFuzzyNumber) else dfn_mod(cardinal, radix)
+        ),
+    ),
+    TRIANGULAR: _Family(
+        lift=lambda value: lift_triangular(value),
+        floor_div=lambda cardinal, radix: tfn_floor_div(cardinal, lift_triangular(radix)),
+        mul=lambda a, b: tfn_mul(a, b),
+        add=lambda a, b: tfn_add(a, b),
+        sub=lambda a, b: tfn_sub(a, b),
+        common=lambda partials: common_carry_tri(partials),
+        clamp=lambda t: TriangularFuzzyNumber(max(0, t.lower), max(0, t.mode), max(0, t.upper)),
+        negative="has negative lower bound {}",
+    ),
+}
 
 
-def _ids(ids: Sequence[str] | None, count: int, prefix: str, single: str) -> tuple[str, ...]:
-    out = tuple(ids) if ids is not None else _default_ids(prefix, count, single)
+# --- the one operator algorithm ----------------------------------------------
+
+def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
+    if ids is None:
+        return (prefix,) if count == 1 else tuple(f"{prefix}{k}" for k in range(1, count + 1))
+    out = tuple(ids)
     if len(out) != count:
         raise OperatorSpecError(f"{len(out)} entity ids for {count} values")
     return out
 
 
-# --- discrete helpers --------------------------------------------------------
-
-def _dfn_add(a, b):
-    return dfn_zadeh_binary(operator.add, a, b)
-
-
-def _dfn_sub(a, b):
-    return dfn_zadeh_binary(operator.sub, a, b)
-
-
-def _dfn_mul(a, b):
-    return dfn_zadeh_binary(operator.mul, a, b)
-
-
-def _dfn_remainder_correlated(
-    cardinal: DiscreteFuzzyNumber, radix: FuzzyScalar
-) -> DiscreteFuzzyNumber:
-    if isinstance(radix, DiscreteFuzzyNumber):
-        return dfn_zadeh_binary(operator.mod, cardinal, radix)
-    return dfn_mod(cardinal, radix)
-
-
-def _clamp_dfn(value: DiscreteFuzzyNumber) -> DiscreteFuzzyNumber:
-    out: dict[int, Fraction] = {}
-    for v, g in value.points:
-        v = max(0, v)
-        if g > out.get(v, Fraction(0)):
-            out[v] = g
-    return DiscreteFuzzyNumber(out)
-
-
-def _clamp_tri(value: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
-    return TriangularFuzzyNumber(
-        max(0, value.lower), max(0, value.mode), max(0, value.upper)
-    )
-
-
-def _finish_remainder(
-    entity_id: str,
-    remainder: FuzzyScalar,
+def _apply(
+    fused: bool,
+    operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
+    radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar],
     options: TransformOptions,
-    warnings: list[str],
-) -> FuzzyScalar:
-    """Clamp or flag a remainder whose values dip below zero."""
-    if isinstance(remainder, TriangularFuzzyNumber):
-        if remainder.lower >= 0:
-            return remainder
-        if options.clamp_negative:
-            return _clamp_tri(remainder)
-        warnings.append(
-            f"remainder for '{entity_id}' has negative lower bound {remainder.lower}"
-        )
-    elif isinstance(remainder, DiscreteFuzzyNumber):
-        low = remainder.points[0][0]
-        if low >= 0:
-            return remainder
-        if options.clamp_negative:
-            return _clamp_dfn(remainder)
-        warnings.append(
-            f"remainder for '{entity_id}' has negative support values (min {low})"
-        )
-    return remainder
-
-
-# --- the four operators ------------------------------------------------------
-
-def apply_L(
-    operand: FuzzyScalar,
-    image: FuzzyScalar,
-    radix: FuzzyScalar,
-    rate: FuzzyScalar,
-    *,
-    options: TransformOptions = DEFAULT_OPTIONS,
-    operand_id: str = "i",
-    image_id: str = "j",
+    operand_ids: Sequence[str] | None, image_ids: Sequence[str] | None,
 ) -> TransformResult:
-    """Line operator over one operand and one image, in any fuzziness pattern."""
-    fam = joint_family((operand, image, radix, rate))
-    _check_radix(radix)
-    _check_nonneg(operand, "operand cardinal")
-    _check_nonneg(rate, "conversion rate")
-    if fam == CRISP:
-        return crisp_L(operand, image, radix, rate, operand_id=operand_id, image_id=image_id)
-    warnings: list[str] = []
-    if fam == DISCRETE:
-        cardinal = lift_discrete(operand)
-        carry = dfn_floor_div(cardinal, radix)
-        transformant = _dfn_mul(carry, lift_discrete(rate))
-        new_image = _dfn_add(lift_discrete(image), transformant)
-        if options.remainder_mode == "correlated":
-            remainder = _dfn_remainder_correlated(cardinal, radix)
-        else:
-            remainder = _dfn_sub(cardinal, _dfn_mul(carry, lift_discrete(radix)))
-    else:
-        cardinal = lift_triangular(operand)
-        carry = tfn_floor_div(cardinal, lift_triangular(radix))
-        transformant = tfn_mul(carry, lift_triangular(rate))
-        new_image = tfn_add(lift_triangular(image), transformant)
-        remainder = tfn_sub(cardinal, tfn_mul(carry, lift_triangular(radix)))
-    remainder = _finish_remainder(operand_id, remainder, options, warnings)
-    return TransformResult(
-        partial_carries={operand_id: carry},
-        common_carry=None,
-        remainders={operand_id: remainder},
-        transformants={image_id: transformant},
-        new_image_cardinals={image_id: new_image},
-        warnings=tuple(warnings),
-    )
+    """Carry, common carry, remainders, transformants and images of one call.
 
-
-def apply_D(
-    operand: FuzzyScalar,
-    images: Sequence[FuzzyScalar],
-    radix: FuzzyScalar,
-    rates: Sequence[FuzzyScalar],
-    *,
-    options: TransformOptions = DEFAULT_OPTIONS,
-    operand_id: str = "i",
-    image_ids: Sequence[str] | None = None,
-) -> TransformResult:
-    """Distribution operator: one carry and remainder, a fan-out per image."""
-    if len(images) != len(rates):
-        raise OperatorSpecError(f"{len(images)} images but {len(rates)} rates")
-    if not images:
-        raise OperatorSpecError("distribution needs at least one image")
-    fam = joint_family((operand, radix, *images, *rates))
-    ids = _ids(image_ids, len(images), "j", "j")
-    _check_radix(radix)
-    _check_nonneg(operand, "operand cardinal")
-    for r in rates:
-        _check_nonneg(r, "conversion rate")
-    if fam == CRISP:
-        return crisp_D(operand, images, radix, rates, operand_id=operand_id, image_ids=ids)
-    warnings: list[str] = []
-    transformants: dict[str, FuzzyScalar] = {}
-    new_images: dict[str, FuzzyScalar] = {}
-    if fam == DISCRETE:
-        cardinal = lift_discrete(operand)
-        carry = dfn_floor_div(cardinal, radix)
-        for img_id, img, r in zip(ids, images, rates):
-            q = _dfn_mul(carry, lift_discrete(r))
-            transformants[img_id] = q
-            new_images[img_id] = _dfn_add(lift_discrete(img), q)
-        if options.remainder_mode == "correlated":
-            remainder = _dfn_remainder_correlated(cardinal, radix)
-        else:
-            remainder = _dfn_sub(cardinal, _dfn_mul(carry, lift_discrete(radix)))
-    else:
-        cardinal = lift_triangular(operand)
-        carry = tfn_floor_div(cardinal, lift_triangular(radix))
-        for img_id, img, r in zip(ids, images, rates):
-            q = tfn_mul(carry, lift_triangular(r))
-            transformants[img_id] = q
-            new_images[img_id] = tfn_add(lift_triangular(img), q)
-        remainder = tfn_sub(cardinal, tfn_mul(carry, lift_triangular(radix)))
-    remainder = _finish_remainder(operand_id, remainder, options, warnings)
-    return TransformResult(
-        partial_carries={operand_id: carry},
-        common_carry=None,
-        remainders={operand_id: remainder},
-        transformants=transformants,
-        new_image_cardinals=new_images,
-        warnings=tuple(warnings),
-    )
-
-
-def _fuse(
-    operands: Sequence[FuzzyScalar],
-    radices: Sequence[FuzzyScalar],
-    operand_ids: tuple[str, ...],
-    fam: str,
-    options: TransformOptions,
-    warnings: list[str],
-):
-    """Partial carries, formed common carry and remainders for fusion/multi.
-
-    Remainders subtract common carry times radix; for the discrete family this
-    is always the cross-product extension because the formed carry no longer
-    correlates with any operand's support values.
+    ``fused`` is True for F and M: a common carry is formed even from a single
+    partial, and remainders always subtract it by extension.  Otherwise (L and
+    D, one operand) the partial carry is the carry and discrete remainders
+    follow ``options.remainder_mode``.
     """
-    partials: dict[str, FuzzyScalar] = {}
-    remainders: dict[str, FuzzyScalar] = {}
-    if fam == DISCRETE:
-        cardinals = {i: lift_discrete(v) for i, v in zip(operand_ids, operands)}
-        for op_id, n in zip(operand_ids, radices):
-            partials[op_id] = dfn_floor_div(cardinals[op_id], n)
-        common = common_carry_dfn([partials[i] for i in operand_ids])
-        for op_id, n in zip(operand_ids, radices):
-            rem = _dfn_sub(cardinals[op_id], _dfn_mul(common, lift_discrete(n)))
-            remainders[op_id] = _finish_remainder(op_id, rem, options, warnings)
-    else:
-        cardinals = {i: lift_triangular(v) for i, v in zip(operand_ids, operands)}
-        for op_id, n in zip(operand_ids, radices):
-            partials[op_id] = tfn_floor_div(cardinals[op_id], lift_triangular(n))
-        common = common_carry_tri([partials[i] for i in operand_ids])
-        for op_id, n in zip(operand_ids, radices):
-            rem = tfn_sub(cardinals[op_id], tfn_mul(common, lift_triangular(n)))
-            remainders[op_id] = _finish_remainder(op_id, rem, options, warnings)
-    return partials, common, remainders
-
-
-def apply_F(
-    operands: Sequence[FuzzyScalar],
-    image: FuzzyScalar,
-    radices: Sequence[FuzzyScalar],
-    rate: FuzzyScalar,
-    *,
-    options: TransformOptions = DEFAULT_OPTIONS,
-    operand_ids: Sequence[str] | None = None,
-    image_id: str = "k",
-) -> TransformResult:
-    """Fusion operator: a common carry formed from all partial carries."""
-    if len(operands) != len(radices):
-        raise OperatorSpecError(f"{len(operands)} operands but {len(radices)} radices")
-    if not operands:
-        raise OperatorSpecError("fusion needs at least one operand")
-    fam = joint_family((*operands, image, *radices, rate))
-    ids = _ids(operand_ids, len(operands), "i", "i")
-    for n in radices:
-        _check_radix(n)
-    for big_n in operands:
-        _check_nonneg(big_n, "operand cardinal")
-    _check_nonneg(rate, "conversion rate")
-    if fam == CRISP:
-        return crisp_F(operands, image, radices, rate, operand_ids=ids, image_id=image_id)
-    warnings: list[str] = []
-    partials, common, remainders = _fuse(operands, radices, ids, fam, options, warnings)
-    if fam == DISCRETE:
-        transformant = _dfn_mul(common, lift_discrete(rate))
-        new_image = _dfn_add(lift_discrete(image), transformant)
-    else:
-        transformant = tfn_mul(common, lift_triangular(rate))
-        new_image = tfn_add(lift_triangular(image), transformant)
-    return TransformResult(
-        partial_carries=partials,
-        common_carry=common,
-        remainders=remainders,
-        transformants={image_id: transformant},
-        new_image_cardinals={image_id: new_image},
-        warnings=tuple(warnings),
-    )
-
-
-def apply_M(
-    operands: Sequence[FuzzyScalar],
-    images: Sequence[FuzzyScalar],
-    radices: Sequence[FuzzyScalar],
-    rates: Sequence[FuzzyScalar],
-    *,
-    options: TransformOptions = DEFAULT_OPTIONS,
-    operand_ids: Sequence[str] | None = None,
-    image_ids: Sequence[str] | None = None,
-) -> TransformResult:
-    """Multi operator: fusion carry formation plus distribution fan-out."""
     if len(operands) != len(radices):
         raise OperatorSpecError(f"{len(operands)} operands but {len(radices)} radices")
     if len(images) != len(rates):
         raise OperatorSpecError(f"{len(images)} images but {len(rates)} rates")
     if not operands or not images:
-        raise OperatorSpecError("multi operator needs operands and images")
-    fam = joint_family((*operands, *images, *radices, *rates))
-    op_ids = _ids(operand_ids, len(operands), "i", "i")
-    img_ids = _ids(image_ids, len(images), "k", "k")
+        raise OperatorSpecError("an operator needs at least one operand and one image")
+    joint = joint_family((*operands, *images, *radices, *rates))
+    fam = _FAMILIES[joint]
+    op_ids = _ids(operand_ids, len(operands), "i")
+    img_ids = _ids(image_ids, len(images), "k" if fused else "j")
     for n in radices:
         _check_radix(n)
     for big_n in operands:
-        _check_nonneg(big_n, "operand cardinal")
+        _check_natural(big_n, "operand cardinal")
     for r in rates:
-        _check_nonneg(r, "conversion rate")
-    if fam == CRISP:
-        return crisp_M(operands, images, radices, rates, operand_ids=op_ids, image_ids=img_ids)
+        _check_natural(r, "conversion rate")
+    if joint == CRISP:
+        # A fuzzy call lets an image dip below zero; an all-crisp one does not.
+        for img in images:
+            _check_natural(img, "image cardinal")
+
+    cardinals = [fam.lift(big_n) for big_n in operands]
+    partials = {i: fam.floor_div(c, n) for i, c, n in zip(op_ids, cardinals, radices)}
+    carry = fam.common([partials[i] for i in op_ids]) if fused else partials[op_ids[0]]
+    correlated = fam.correlated if options.remainder_mode == "correlated" and not fused else None
     warnings: list[str] = []
-    partials, common, remainders = _fuse(operands, radices, op_ids, fam, options, warnings)
+    remainders: dict[str, FuzzyScalar] = {}
+    for op_id, cardinal, n in zip(op_ids, cardinals, radices):
+        if correlated:
+            rem = correlated(cardinal, n)
+        else:
+            rem = fam.sub(cardinal, fam.mul(carry, fam.lift(n)))
+        low = _lowest(rem)
+        if low < 0 and options.clamp_negative:
+            rem = fam.clamp(rem)
+        elif low < 0:
+            warnings.append(f"remainder for '{op_id}' " + fam.negative.format(low))
+        remainders[op_id] = rem
     transformants: dict[str, FuzzyScalar] = {}
     new_images: dict[str, FuzzyScalar] = {}
     for img_id, img, r in zip(img_ids, images, rates):
-        if fam == DISCRETE:
-            q = _dfn_mul(common, lift_discrete(r))
-            transformants[img_id] = q
-            new_images[img_id] = _dfn_add(lift_discrete(img), q)
-        else:
-            q = tfn_mul(common, lift_triangular(r))
-            transformants[img_id] = q
-            new_images[img_id] = tfn_add(lift_triangular(img), q)
+        q = transformants[img_id] = fam.mul(carry, fam.lift(r))
+        new_images[img_id] = fam.add(fam.lift(img), q)
     return TransformResult(
         partial_carries=partials,
-        common_carry=common,
+        common_carry=carry if fused else None,
         remainders=remainders,
         transformants=transformants,
         new_image_cardinals=new_images,
         warnings=tuple(warnings),
     )
+
+
+# --- the four operators, in any fuzziness pattern and crisp-only -------------
+
+def apply_L(
+    operand: FuzzyScalar, image: FuzzyScalar, radix: FuzzyScalar, rate: FuzzyScalar, *,
+    options: TransformOptions = DEFAULT_OPTIONS, operand_id: str = "i", image_id: str = "j",
+) -> TransformResult:
+    """Line operator over one operand and one image, in any fuzziness pattern."""
+    return _apply(
+        False, (operand,), (image,), (radix,), (rate,), options, (operand_id,), (image_id,)
+    )
+
+
+def apply_D(
+    operand: FuzzyScalar, images: Sequence[FuzzyScalar],
+    radix: FuzzyScalar, rates: Sequence[FuzzyScalar], *,
+    options: TransformOptions = DEFAULT_OPTIONS,
+    operand_id: str = "i", image_ids: Sequence[str] | None = None,
+) -> TransformResult:
+    """Distribution operator: one carry and remainder, a fan-out per image."""
+    return _apply(False, (operand,), images, (radix,), rates, options, (operand_id,), image_ids)
+
+
+def apply_F(
+    operands: Sequence[FuzzyScalar], image: FuzzyScalar,
+    radices: Sequence[FuzzyScalar], rate: FuzzyScalar, *,
+    options: TransformOptions = DEFAULT_OPTIONS,
+    operand_ids: Sequence[str] | None = None, image_id: str = "k",
+) -> TransformResult:
+    """Fusion operator: a common carry formed from all partial carries."""
+    return _apply(True, operands, (image,), radices, (rate,), options, operand_ids, (image_id,))
+
+
+def apply_M(
+    operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
+    radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar], *,
+    options: TransformOptions = DEFAULT_OPTIONS,
+    operand_ids: Sequence[str] | None = None, image_ids: Sequence[str] | None = None,
+) -> TransformResult:
+    """Multi operator: fusion carry formation plus distribution fan-out."""
+    return _apply(True, operands, images, radices, rates, options, operand_ids, image_ids)
+
+
+def _require_ints(*values) -> None:
+    for value in values:
+        _as_int(value, "crisp operator argument")
+
+
+def crisp_L(
+    operand: int, image: int, radix: int, rate: int, *,
+    operand_id: str = "i", image_id: str = "j",
+) -> TransformResult:
+    """Line operator over natural numbers: the baseline every fuzzy L collapses to.
+
+    carry = operand // radix; remainder = operand mod radix;
+    transformant = carry * rate; image gains the transformant.
+    """
+    _require_ints(operand, image, radix, rate)
+    return apply_L(operand, image, radix, rate, operand_id=operand_id, image_id=image_id)
+
+
+def crisp_D(
+    operand: int, images: Sequence[int], radix: int, rates: Sequence[int], *,
+    operand_id: str = "i", image_ids: Sequence[str] | None = None,
+) -> TransformResult:
+    """Distribution operator over natural numbers: one carry fans out to several images."""
+    _require_ints(operand, *images, radix, *rates)
+    return apply_D(operand, images, radix, rates, operand_id=operand_id, image_ids=image_ids)
+
+
+def crisp_F(
+    operands: Sequence[int], image: int, radices: Sequence[int], rate: int, *,
+    operand_ids: Sequence[str] | None = None, image_id: str = "k",
+) -> TransformResult:
+    """Fusion operator over natural numbers: common carry = min of the partial carries.
+
+    Remainders subtract the common carry (N_w - p * n_w), which differs from
+    N_w mod n_w whenever the common carry is below an operand's own carry.
+    """
+    _require_ints(*operands, image, *radices, rate)
+    return apply_F(operands, image, radices, rate, operand_ids=operand_ids, image_id=image_id)
+
+
+def crisp_M(
+    operands: Sequence[int], images: Sequence[int], radices: Sequence[int], rates: Sequence[int],
+    *, operand_ids: Sequence[str] | None = None, image_ids: Sequence[str] | None = None,
+) -> TransformResult:
+    """Multi operator over natural numbers: fusion-style carry, distribution-style fan-out."""
+    _require_ints(*operands, *images, *radices, *rates)
+    return apply_M(operands, images, radices, rates, operand_ids=operand_ids, image_ids=image_ids)

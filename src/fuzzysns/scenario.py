@@ -16,18 +16,14 @@ from typing import Optional
 
 from .crisp import Form, OperatorSpec, TransformResult, valence_matches
 from .errors import (
+    DomainError,
     FuzzySnsError,
+    InvalidRadixError,
     MixedFamilyError,
     ScenarioValidationError,
     StepExecutionError,
 )
-from .numbers import (
-    DiscreteFuzzyNumber,
-    FuzzyScalar,
-    TriangularFuzzyNumber,
-    family,
-    joint_family,
-)
+from .numbers import FuzzyScalar, _check_radix, family, joint_family
 from .operators import TransformOptions, apply_D, apply_F, apply_L, apply_M
 
 Multeity = dict[str, FuzzyScalar]
@@ -80,14 +76,6 @@ def _scalar_ok(value) -> bool:
     return True
 
 
-def _radix_ok(value: FuzzyScalar) -> bool:
-    if isinstance(value, TriangularFuzzyNumber):
-        return value.lower >= 1
-    if isinstance(value, DiscreteFuzzyNumber):
-        return value.points[0][0] >= 1
-    return value >= 1
-
-
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All reasons the scenario cannot run; empty list means runnable.
 
@@ -119,9 +107,11 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 Diagnostic(index, f"operand and image entities overlap: {sorted(overlap)}")
             )
         for radix in step.radices:
-            if _scalar_ok(radix) and not _radix_ok(radix):
+            try:
+                _check_radix(radix)
+            except InvalidRadixError:
                 out.append(Diagnostic(index, f"invalid radix {radix}"))
-            elif not _scalar_ok(radix):
+            except DomainError:
                 out.append(Diagnostic(index, f"radix {radix!r} is not a fuzzy scalar"))
         for rate in step.rates:
             if not _scalar_ok(rate):

@@ -79,7 +79,7 @@ def test_criterion_2_crisp_embedding():
     }
     with criterion(2, "degenerate fuzzy inputs reproduce crisp results (4 forms x 5 patterns x 1000)", budget=30.0):
         for form, (pattern, slots) in itertools.product("LDFM", patterns.items()):
-            rng = random.Random(hash((form, pattern)) & 0xFFFFFF)
+            rng = random.Random(f"{form}/{pattern}")
             for case_index in range(1000):
                 fam = "triangular" if case_index % 2 == 0 else "discrete"
                 w = 1 if form in "LD" else rng.randint(2, 4)

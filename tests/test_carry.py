@@ -113,6 +113,15 @@ class TestDiscreteFormation:
         c = dfn({0: "0.2", 4: 1})
         assert common_carry_dfn([a, b, c]) == common_carry_dfn([common_carry_dfn([a, b]), c])
 
+    def test_fold_order_changes_the_formed_carry(self):
+        # The pair rule is not associative: swapping the last two operands
+        # changes the result, so operand order is part of the contract.
+        a = dfn({0: 1, 1: "0.4", 4: 1})
+        b = dfn({2: "0.2", 3: "0.1", 4: 1})
+        c = dfn({0: 1, 1: "0.8", 7: "0.4"})
+        assert common_carry_dfn([a, b, c]) == dfn({0: 1})
+        assert common_carry_dfn([a, c, b]) == dfn({0: 1, 1: "0.4"})
+
 
 def test_formation_handles_many_random_permutation_sets():
     rng = random.Random(7)

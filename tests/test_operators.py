@@ -10,6 +10,7 @@ from fuzzysns import (
     DomainError,
     InvalidRadixError,
     MixedFamilyError,
+    OperatorSpecError,
     TransformOptions,
     TriangularFuzzyNumber,
     apply_D,
@@ -238,7 +239,7 @@ PATTERNS = {
 @pytest.mark.parametrize("form", ["L", "D", "F", "M"])
 def test_crisp_consistency_master_property(form, pattern, fam):
     """Degenerate fuzzy arguments reproduce the crisp operator field by field."""
-    rng = random.Random(hash((form, pattern, fam)) & 0xFFFF)
+    rng = random.Random(f"{form}/{pattern}/{fam}")
     slots = PATTERNS[pattern]
     for _ in range(150):
         w = 1 if form in "LD" else rng.randint(2, 4)
@@ -336,3 +337,107 @@ def test_triangular_ordering_invariant_randomized():
         for value in fields:
             if isinstance(value, TriangularFuzzyNumber):
                 assert value.lower <= value.mode <= value.upper
+
+
+def _fused_forms_form_a_carry_even_for_one_operand():
+    # Correlated remainders belong to L and D; F and M always form a common
+    # carry and subtract it with the extension, whatever the operand count.
+    cardinal = dfn({5: "0.5", 7: 1})
+    extension = dfn({-1: "0.5", 1: 1, 2: "0.5", 4: "0.5"})
+    for fused in (apply_F([cardinal], 0, [3], 1), apply_M([cardinal], [0], [3], [1])):
+        assert fused.common_carry is not None
+        assert fused.remainder == extension
+    for single in (apply_L(cardinal, 0, 3, 1), apply_D(cardinal, [0], 3, [1])):
+        assert single.common_carry is None
+        assert single.remainder == dfn({1: 1, 2: "0.5"})
+
+
+def _negative_image_rejected_only_when_all_crisp():
+    with pytest.raises(DomainError):
+        apply_L(7, -1, 3, 2)
+    assert apply_L(dfn({5: "0.5", 7: 1}), -1, 3, 1).new_image == dfn({0: "0.5", 1: 1})
+
+
+def _crisp_operators_reject_bool_and_fuzzy_arguments():
+    for bad in (True, tri(1, 2, 3), dfn({2: 1})):
+        for call in (
+            lambda: crisp_L(bad, 0, 3, 1),
+            lambda: crisp_D(7, [bad], 3, [1]),
+            lambda: crisp_F([7, 9], 0, [3, bad], 1),
+            lambda: crisp_M([7, 9], [0, 0], [3, 4], [1, bad]),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+
+def _id_count_mismatch_rejected():
+    two = ("a", "b")
+    for call in (
+        lambda: apply_D(7, [0], 3, [1], image_ids=two),
+        lambda: crisp_D(7, [0], 3, [1], image_ids=two),
+        lambda: apply_F([7], 0, [3], 1, operand_ids=two),
+        lambda: crisp_F([7], 0, [3], 1, operand_ids=two),
+        lambda: apply_M([7], [0], [3], [1], operand_ids=two),
+        lambda: crisp_M([7], [0], [3], [1], operand_ids=two),
+        lambda: apply_M([7], [0], [3], [1], image_ids=two),
+        lambda: crisp_M([7], [0], [3], [1], image_ids=two),
+    ):
+        with pytest.raises(OperatorSpecError):
+            call()
+
+
+def _default_entity_ids():
+    cases = [
+        (apply_L(7, 0, 3, 1), ("i",), ("j",)),
+        (crisp_L(7, 0, 3, 1), ("i",), ("j",)),
+        (apply_D(7, [0], 3, [1]), ("i",), ("j",)),
+        (crisp_D(7, [0, 0], 3, [1, 1]), ("i",), ("j1", "j2")),
+        (apply_D(7, [0, 0], 3, [1, 1]), ("i",), ("j1", "j2")),
+        (apply_F([7], 0, [3], 1), ("i",), ("k",)),
+        (crisp_F([7, 9], 0, [3, 4], 1), ("i1", "i2"), ("k",)),
+        (apply_F([7, 9], 0, [3, 4], 1), ("i1", "i2"), ("k",)),
+        (apply_M([7], [0], [3], [1]), ("i",), ("k",)),
+        (crisp_M([7, 9], [0, 0], [3, 4], [1, 1]), ("i1", "i2"), ("k1", "k2")),
+        (apply_M([7, 9], [0, 0], [3, 4], [1, 1]), ("i1", "i2"), ("k1", "k2")),
+    ]
+    for result, operand_ids, image_ids in cases:
+        assert tuple(result.partial_carries) == tuple(result.remainders) == operand_ids
+        assert tuple(result.transformants) == tuple(result.new_image_cardinals) == image_ids
+
+
+def _crisp_results_are_plain_ints():
+    for result in (
+        apply_L(7, 1, 3, 2),
+        crisp_L(7, 1, 3, 2),
+        apply_D(7, [1, 2], 3, [2, 3]),
+        crisp_D(7, [1, 2], 3, [2, 3]),
+        apply_F([7, 9], 1, [3, 4], 2),
+        crisp_F([7, 9], 1, [3, 4], 2),
+        apply_M([7, 9], [1, 2], [3, 4], [2, 3]),
+        crisp_M([7, 9], [1, 2], [3, 4], [2, 3]),
+    ):
+        values = [
+            *result.partial_carries.values(),
+            *result.remainders.values(),
+            *result.transformants.values(),
+            *result.new_image_cardinals.values(),
+        ]
+        if result.common_carry is not None:
+            values.append(result.common_carry)
+        assert all(type(value) is int for value in values)
+
+
+OPERATOR_CONTRACT = [
+    _fused_forms_form_a_carry_even_for_one_operand,
+    _negative_image_rejected_only_when_all_crisp,
+    _crisp_operators_reject_bool_and_fuzzy_arguments,
+    _id_count_mismatch_rejected,
+    _default_entity_ids,
+    _crisp_results_are_plain_ints,
+]
+
+
+@pytest.mark.parametrize("check", OPERATOR_CONTRACT, ids=lambda check: check.__name__[1:])
+def test_operator_contract(check):
+    """Behaviours every operator entry point keeps, whatever its family path."""
+    check()
