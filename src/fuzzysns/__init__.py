@@ -7,7 +7,6 @@ entities; and brute-force oracles for verification.
 """
 
 from .carry import common_carry_dfn, common_carry_tri
-from .crisp import Form, OperatorSpec, TransformResult, valence_matches
 from .errors import (
     DomainError,
     FuzzySnsError,
@@ -48,6 +47,7 @@ from .numbers import (
 )
 from .operators import (
     TransformOptions,
+    TransformResult,
     apply_D,
     apply_F,
     apply_L,
@@ -58,7 +58,10 @@ from .operators import (
     crisp_M,
 )
 from .oracle import alpha_cut_check, equivalence_suite, random_dfn, zadeh_oracle
-from .scenario import Diagnostic, Multeity, Scenario, Trace, TraceStep, run, validate
+from .scenario import (
+    Diagnostic, Form, Multeity, OperatorSpec, Scenario, Trace, TraceStep, run, validate,
+    valence_matches,
+)
 
 __version__ = "0.1.0"
 

@@ -3,8 +3,11 @@
 Subcommands: ``eval`` runs a scenario file and prints the transformation
 trace, ``carry`` forms a common carry from inline literals, ``table`` samples
 a triangular membership function into CSV, and ``oracle-check`` runs the
-randomized brute-force equivalence suite.  Exit codes: 0 success, 1 validation
-or runtime failure, 2 parse failure.
+randomized brute-force equivalence suite.  The text, JSON and CSV traces
+render one walk over each step's result (:func:`_walk`).  Subcommands raise;
+only :func:`main` maps errors to exit codes: 0 success, 1 validation or
+runtime failure (a result too long to print included), 2 parse failure (an
+unreadable or undecodable file included).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .carry import common_carry_dfn, common_carry_tri
-from .errors import FuzzySnsError, ParseError, ScenarioValidationError, StepExecutionError
+from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
 from .formats import (
     format_fraction,
     format_scalar,
@@ -27,32 +30,44 @@ from .formats import (
 )
 from .numbers import tfn_membership
 from .oracle import equivalence_suite
-from .operators import TransformOptions
+from .operators import TransformOptions, TransformResult
 from .scenario import Scenario, Trace, run
 
 PARSE_FAILURE = 2
 VALIDATION_FAILURE = 1
 
+# Result fields in output order: CSV name, text label when the field holds one
+# value (None: always the prefix), and label prefix before an entity id.
+_FIELDS = (
+    ("partial_carries", "partial_carry", "p", "p_"),
+    ("common_carry", "common_carry", "p.", None),
+    ("remainders", "remainder", "rem", "rem_"),
+    ("transformants", "transformant", "q", "q_"),
+    ("new_image_cardinals", "new_image", None, "N'_"),
+)
+
+
+def _walk(result: TransformResult):
+    """(field, CSV name, text label, entity id, literal) of each value, in output order.
+
+    The common carry has entity id None, and literal None when none was formed.
+    """
+    for name, csv_name, sole, prefix in _FIELDS:
+        value = getattr(result, name)
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        for entity_id, scalar in items:
+            label = sole if len(items) == 1 and sole else prefix + entity_id
+            literal = None if scalar is None else format_scalar(scalar)
+            yield name, csv_name, label, entity_id, literal
+
 
 def _trace_text(trace: Trace) -> str:
     lines = []
     for step in trace.steps:
-        parts = []
-        single_operand = len(step.result.partial_carries) == 1
-        for entity_id, carry in step.result.partial_carries.items():
-            label = "p" if single_operand else f"p_{entity_id}"
-            parts.append(f"{label}={format_scalar(carry)}")
-        if step.result.common_carry is not None:
-            parts.append(f"p.={format_scalar(step.result.common_carry)}")
-        for entity_id, remainder in step.result.remainders.items():
-            label = "rem" if single_operand else f"rem_{entity_id}"
-            parts.append(f"{label}={format_scalar(remainder)}")
-        single_image = len(step.result.transformants) == 1
-        for entity_id, transformant in step.result.transformants.items():
-            label = "q" if single_image else f"q_{entity_id}"
-            parts.append(f"{label}={format_scalar(transformant)}")
-        for entity_id, cardinal in step.result.new_image_cardinals.items():
-            parts.append(f"N'_{entity_id}={format_scalar(cardinal)}")
+        parts = [
+            f"{label}={literal}"
+            for _, _, label, _, literal in _walk(step.result) if literal is not None
+        ]
         lines.append(f"step {step.index} {step.spec.form.value}: " + " ".join(parts))
     lines.append("final:")
     for entity_id, cardinal in trace.final.items():
@@ -61,29 +76,18 @@ def _trace_text(trace: Trace) -> str:
 
 
 def _trace_json(trace: Trace) -> str:
-    doc = {
-        "steps": [
-            {
-                "index": step.index,
-                "form": step.spec.form.value,
-                "partial_carries": {k: format_scalar(v) for k, v in step.result.partial_carries.items()},
-                "common_carry": (
-                    None if step.result.common_carry is None
-                    else format_scalar(step.result.common_carry)
-                ),
-                "remainders": {k: format_scalar(v) for k, v in step.result.remainders.items()},
-                "transformants": {k: format_scalar(v) for k, v in step.result.transformants.items()},
-                "new_image_cardinals": {
-                    k: format_scalar(v) for k, v in step.result.new_image_cardinals.items()
-                },
-                "state": {k: format_scalar(v) for k, v in step.state.items()},
-            }
-            for step in trace.steps
-        ],
-        "final": {k: format_scalar(v) for k, v in trace.final.items()},
-        "warnings": list(trace.warnings),
-    }
-    return json.dumps(doc, indent=2)
+    steps = []
+    for step in trace.steps:
+        doc: dict = {"index": step.index, "form": step.spec.form.value}
+        for name, _, _, entity_id, literal in _walk(step.result):
+            if entity_id is None:
+                doc[name] = literal
+            else:
+                doc.setdefault(name, {})[entity_id] = literal
+        doc["state"] = {k: format_scalar(v) for k, v in step.state.items()}
+        steps.append(doc)
+    final = {k: format_scalar(v) for k, v in trace.final.items()}
+    return json.dumps({"steps": steps, "final": final, "warnings": list(trace.warnings)}, indent=2)
 
 
 def _trace_csv(trace: Trace) -> str:
@@ -91,95 +95,72 @@ def _trace_csv(trace: Trace) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["step", "form", "field", "entity", "value"])
     for step in trace.steps:
-        form = step.spec.form.value
-        for entity_id, value in step.result.partial_carries.items():
-            writer.writerow([step.index, form, "partial_carry", entity_id, format_scalar(value)])
-        if step.result.common_carry is not None:
-            writer.writerow([step.index, form, "common_carry", "", format_scalar(step.result.common_carry)])
-        for entity_id, value in step.result.remainders.items():
-            writer.writerow([step.index, form, "remainder", entity_id, format_scalar(value)])
-        for entity_id, value in step.result.transformants.items():
-            writer.writerow([step.index, form, "transformant", entity_id, format_scalar(value)])
-        for entity_id, value in step.result.new_image_cardinals.items():
-            writer.writerow([step.index, form, "new_image", entity_id, format_scalar(value)])
+        for _, csv_name, _, entity_id, literal in _walk(step.result):
+            if literal is not None:
+                writer.writerow([step.index, step.spec.form.value, csv_name, entity_id, literal])
     for entity_id, value in trace.final.items():
         writer.writerow(["", "", "final", entity_id, format_scalar(value)])
     return buffer.getvalue().rstrip("\n")
 
 
+_RENDERERS = {"text": _trace_text, "json": _trace_json, "csv": _trace_csv}
+
+
+def _print(render, *args) -> None:
+    """Print ``render(*args)``; a number too long to convert to text is a DomainError."""
+    try:
+        text = render(*args)
+    except ValueError as exc:
+        raise DomainError(f"cannot print the result: {exc}") from exc
+    print(text)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        text = open(args.scenario, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
-    try:
-        scenario = scenario_from_json(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
-    options = scenario.options
-    if args.remainder_mode is not None:
-        options = TransformOptions(args.remainder_mode, options.clamp_negative)
-    if args.clamp_negative:
-        options = TransformOptions(options.remainder_mode, True)
-    scenario = Scenario(scenario.initial, scenario.steps, options)
-    try:
-        trace = run(scenario)
-    except ScenarioValidationError as exc:
-        for diagnostic in exc.diagnostics:
-            print(f"invalid: {diagnostic}", file=sys.stderr)
-        return VALIDATION_FAILURE
-    except (StepExecutionError, FuzzySnsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_FAILURE
+        with open(args.scenario, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {args.scenario}: {exc}") from exc
+    scenario = scenario_from_json(text)
+    options = TransformOptions(
+        args.remainder_mode or scenario.options.remainder_mode,
+        args.clamp_negative or scenario.options.clamp_negative,
+    )
+    trace = run(Scenario(scenario.initial, scenario.steps, options))
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.format == "json":
-        print(_trace_json(trace))
-    elif args.format == "csv":
-        print(_trace_csv(trace))
-    else:
-        print(_trace_text(trace))
+    _print(_RENDERERS[args.format], trace)
     return 0
 
 
 def cmd_carry(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "tri":
-            partials = [parse_triangular(text) for text in args.literals]
-            formed = common_carry_tri(partials)
-        else:
-            partials = [parse_discrete(text) for text in args.literals]
-            formed = common_carry_dfn(partials)
-    except (ParseError, FuzzySnsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
-    print(format_scalar(formed))
+    if args.family == "tri":
+        formed = common_carry_tri([parse_triangular(text) for text in args.literals])
+    else:
+        formed = common_carry_dfn([parse_discrete(text) for text in args.literals])
+    _print(format_scalar, formed)
     return 0
+
+
+def _table(number, resolution: int) -> str:
+    span = Fraction(number.upper - number.lower)
+    lines = ["x,mu"]
+    for k in range(resolution):
+        x = Fraction(number.lower) + span * k / (resolution - 1)
+        lines.append(f"{format_fraction(x)},{format_fraction(tfn_membership(x, number))}")
+    return "\n".join(lines)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.resolution < 2:
-        print("error: resolution must be at least 2", file=sys.stderr)
-        return VALIDATION_FAILURE
-    try:
-        number = parse_triangular(args.literal)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
-    span = Fraction(number.upper - number.lower)
-    print("x,mu")
-    for k in range(args.resolution):
-        x = Fraction(number.lower) + span * k / (args.resolution - 1)
-        print(f"{format_fraction(x)},{format_fraction(tfn_membership(x, number))}")
+        raise DomainError("resolution must be at least 2")
+    _print(_table, parse_triangular(args.literal), args.resolution)
     return 0
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.cases < 1:
-        print("error: --cases must be at least 1", file=sys.stderr)
-        return VALIDATION_FAILURE
+        raise DomainError("--cases must be at least 1")
     passed, total = equivalence_suite(args.seed, args.cases)
     print(f"{passed}/{total} ok")
     return 0 if passed == total else VALIDATION_FAILURE
@@ -188,13 +169,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzysns",
-        description="Fuzzy cardinal semantic transformations over crisp, discrete and triangular cardinals.",
+        description="Fuzzy cardinal semantic transformations over crisp, discrete and"
+        " triangular cardinals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     eval_parser = sub.add_parser("eval", help="run a scenario file and print the trace")
     eval_parser.add_argument("scenario", help="path to a scenario JSON document")
-    eval_parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    eval_parser.add_argument("--format", choices=tuple(_RENDERERS), default="text")
     eval_parser.add_argument(
         "--remainder-mode", choices=("correlated", "extension"), default=None,
         help="override the scenario's discrete remainder semantics",
@@ -224,7 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioValidationError as exc:
+        for diagnostic in exc.diagnostics:
+            print(f"invalid: {diagnostic}", file=sys.stderr)
+        return VALIDATION_FAILURE
+    except FuzzySnsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return PARSE_FAILURE if isinstance(exc, ParseError) else VALIDATION_FAILURE
 
 
 if __name__ == "__main__":

@@ -12,40 +12,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
-from .crisp import Form, OperatorSpec
 from .errors import ParseError
 from .numbers import (
     DiscreteFuzzyNumber,
     FuzzyScalar,
     TriangularFuzzyNumber,
+    _is_int,
     family,
+    format_fraction,
 )
 from .operators import TransformOptions
-from .scenario import Scenario
-
-
-def format_fraction(value: Fraction | int) -> str:
-    """Exact decimal when the denominator is 2^a * 5^b, else "p/q"."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    reduced = f.denominator
-    twos = fives = 0
-    while reduced % 2 == 0:
-        reduced //= 2
-        twos += 1
-    while reduced % 5 == 0:
-        reduced //= 5
-        fives += 1
-    if reduced != 1:
-        return f"{f.numerator}/{f.denominator}"
-    places = max(twos, fives)
-    scaled = abs(f.numerator) * 10**places // f.denominator
-    digits = str(scaled).rjust(places + 1, "0")
-    sign = "-" if f.numerator < 0 else ""
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+from .scenario import Form, OperatorSpec, Scenario
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -60,6 +39,14 @@ def format_scalar(value: FuzzyScalar) -> str:
     return str(value)
 
 
+def _build(where: str | None, make: Callable, *args):
+    """``make(*args)``, with a constructor's complaint raised as a ParseError at ``where``."""
+    try:
+        return make(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ParseError(str(exc) if where is None else f"{where}: {exc}") from exc
+
+
 def parse_triangular(text: str) -> TriangularFuzzyNumber:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
@@ -71,10 +58,7 @@ def parse_triangular(text: str) -> TriangularFuzzyNumber:
         lower, mode, upper = (int(p.strip()) for p in parts)
     except ValueError as exc:
         raise ParseError(f"triangular components must be integers: {text!r}") from exc
-    try:
-        return TriangularFuzzyNumber(lower, mode, upper)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(None, TriangularFuzzyNumber, lower, mode, upper)
 
 
 def parse_discrete(text: str) -> DiscreteFuzzyNumber:
@@ -94,10 +78,7 @@ def parse_discrete(text: str) -> DiscreteFuzzyNumber:
         except ValueError as exc:
             raise ParseError(f"support value must be an integer: {chunk!r}") from exc
         points[value] = parse_fraction(grade_text)
-    try:
-        return DiscreteFuzzyNumber(points)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return _build(None, DiscreteFuzzyNumber, points)
 
 
 def parse_scalar(text: str) -> FuzzyScalar:
@@ -123,10 +104,6 @@ def _scalar_to_json(value: FuzzyScalar) -> Any:
     return value
 
 
-def _is_int(node: Any) -> bool:
-    return isinstance(node, int) and not isinstance(node, bool)
-
-
 def _scalar_from_json(node: Any, where: str) -> FuzzyScalar:
     if _is_int(node):
         return node
@@ -139,35 +116,22 @@ def _scalar_from_json(node: Any, where: str) -> FuzzyScalar:
                 items.append((int(key), grade))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: support key {key!r} is not an integer") from exc
-        try:
-            return DiscreteFuzzyNumber(items)
-        except Exception as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+        return _build(where, DiscreteFuzzyNumber, items)
     if isinstance(node, list):
         if len(node) == 3 and all(_is_int(x) for x in node):
-            try:
-                return TriangularFuzzyNumber(*node)
-            except Exception as exc:
-                raise ParseError(f"{where}: {exc}") from exc
+            return _build(where, TriangularFuzzyNumber, *node)
         if node and all(isinstance(x, list) and len(x) == 2 for x in node):
-            try:
-                return DiscreteFuzzyNumber([(v, g) for v, g in node])
-            except Exception as exc:
-                raise ParseError(f"{where}: {exc}") from exc
+            return _build(where, DiscreteFuzzyNumber, [(v, g) for v, g in node])
     raise ParseError(f"{where}: cannot read fuzzy scalar from {node!r}")
 
 
 def _step_to_json(step: OperatorSpec) -> dict:
-    radix: Any
-    if len(step.radices) == 1:
-        radix = _scalar_to_json(step.radices[0])
-    else:
-        radix = [_scalar_to_json(n) for n in step.radices]
+    radices = [_scalar_to_json(n) for n in step.radices]
     return {
         "form": step.form.value,
         "operands": list(step.operands),
         "images": list(step.images),
-        "radix": radix,
+        "radix": radices[0] if len(radices) == 1 else radices,
         "rates": [_scalar_to_json(r) for r in step.rates],
     }
 
@@ -185,17 +149,14 @@ def _step_from_json(node: Any, index: int) -> OperatorSpec:
     for key in ("operands", "images", "radix", "rates"):
         if key not in node:
             raise ParseError(f"{where}: missing '{key}'")
-    operands = node["operands"]
-    images = node["images"]
-    if not isinstance(operands, list) or not all(isinstance(e, str) for e in operands):
-        raise ParseError(f"{where}: 'operands' must be a list of entity ids")
-    if not isinstance(images, list) or not all(isinstance(e, str) for e in images):
-        raise ParseError(f"{where}: 'images' must be a list of entity ids")
+    for key in ("operands", "images"):
+        if not isinstance(node[key], list) or not all(isinstance(e, str) for e in node[key]):
+            raise ParseError(f"{where}: '{key}' must be a list of entity ids")
     raw_radix = node["radix"]
-    if len(operands) == 1:
+    if len(node["operands"]) == 1:
         radices = [_scalar_from_json(raw_radix, f"{where}.radix")]
     else:
-        if not isinstance(raw_radix, list) or len(raw_radix) != len(operands):
+        if not isinstance(raw_radix, list) or len(raw_radix) != len(node["operands"]):
             raise ParseError(f"{where}: 'radix' must list one radix per operand")
         radices = [
             _scalar_from_json(x, f"{where}.radix[{k}]") for k, x in enumerate(raw_radix)
@@ -204,13 +165,7 @@ def _step_from_json(node: Any, index: int) -> OperatorSpec:
     if not isinstance(raw_rates, list):
         raw_rates = [raw_rates]
     rates = [_scalar_from_json(x, f"{where}.rates[{k}]") for k, x in enumerate(raw_rates)]
-    return OperatorSpec(
-        form=form,
-        operands=tuple(operands),
-        images=tuple(images),
-        radices=tuple(radices),
-        rates=tuple(rates),
-    )
+    return OperatorSpec(form, node["operands"], node["images"], radices, rates)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -229,11 +184,21 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Parse a scenario document; malformed JSON reports line and column."""
+    """Parse a scenario document; malformed JSON reports line and column.
+
+    Nesting too deep to read and numbers too long to convert are parse errors too.
+    """
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        return _scenario_from_doc(json.loads(text, parse_float=Fraction))
+    except ParseError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _scenario_from_doc(doc: Any) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     entities_node = doc.get("entities")

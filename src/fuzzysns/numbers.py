@@ -19,21 +19,26 @@ from .errors import DomainError, InvalidRadixError, MixedFamilyError
 GradeLike = Union[int, float, str, Fraction]
 
 
+def _is_int(value) -> bool:
+    """The one crisp-value rule: a plain ``int``, never a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_int(value, what: str) -> int:
+    if not _is_int(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def as_grade(value: GradeLike) -> Fraction:
     """Coerce a membership grade to an exact Fraction in (0, 1].
 
     Floats are read through their decimal repr, so 0.3 means exactly 3/10.
     """
-    if isinstance(value, bool):
-        raise DomainError(f"grade must be numeric, got {value!r}")
     if isinstance(value, Fraction):
         grade = value
-    elif isinstance(value, int):
-        grade = Fraction(value)
-    elif isinstance(value, float):
-        grade = Fraction(repr(value))
-    elif isinstance(value, str):
-        grade = Fraction(value)
+    elif _is_int(value) or isinstance(value, (float, str)):
+        grade = Fraction(repr(value) if isinstance(value, float) else value)
     else:
         raise DomainError(f"grade must be numeric, got {value!r}")
     if not 0 < grade <= 1:
@@ -41,10 +46,26 @@ def as_grade(value: GradeLike) -> Fraction:
     return grade
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
+def format_fraction(value: Fraction | int) -> str:
+    """Exact decimal when the denominator is 2^a * 5^b, else "p/q"."""
+    f = Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    reduced = f.denominator
+    twos = fives = 0
+    while reduced % 2 == 0:
+        reduced //= 2
+        twos += 1
+    while reduced % 5 == 0:
+        reduced //= 5
+        fives += 1
+    if reduced != 1:
+        return f"{f.numerator}/{f.denominator}"
+    places = max(twos, fives)
+    scaled = abs(f.numerator) * 10**places // f.denominator
+    digits = str(scaled).rjust(places + 1, "0")
+    sign = "-" if f.numerator < 0 else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 @dataclass(frozen=True)
@@ -70,10 +91,6 @@ class TriangularFuzzyNumber:
     @property
     def is_crisp(self) -> bool:
         return self.lower == self.mode == self.upper
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return self.lower >= 0
 
     def __str__(self) -> str:
         return f"({self.lower}; {self.mode}; {self.upper})"
@@ -119,10 +136,6 @@ class DiscreteFuzzyNumber:
     def is_singleton(self) -> bool:
         return len(self.points) == 1
 
-    @property
-    def is_natural(self) -> bool:
-        return self.points[0][0] >= 0
-
     def grade(self, value: int) -> Fraction:
         for v, g in self.points:
             if v == value:
@@ -130,8 +143,6 @@ class DiscreteFuzzyNumber:
         return Fraction(0)
 
     def __str__(self) -> str:
-        from .formats import format_fraction  # local import breaks the module cycle
-
         return "{" + ", ".join(f"{v}|{format_fraction(g)}" for v, g in self.points) + "}"
 
 
@@ -148,7 +159,7 @@ def family(value: FuzzyScalar) -> str:
         return TRIANGULAR
     if isinstance(value, DiscreteFuzzyNumber):
         return DISCRETE
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise DomainError(f"not a fuzzy scalar: {value!r}")
     return CRISP
 
@@ -227,10 +238,7 @@ def tfn_membership(x, a: TriangularFuzzyNumber) -> Fraction:
     a degenerate edge contributes grade 1 at the shared point.  Exact result
     for exact inputs (floats are read via their decimal repr).
     """
-    if isinstance(x, float):
-        x = Fraction(repr(x))
-    else:
-        x = Fraction(x)
+    x = Fraction(repr(x) if isinstance(x, float) else x)
     if x < a.lower or x > a.upper:
         return Fraction(0)
     if x == a.mode:
@@ -262,9 +270,9 @@ def tfn_scale(a: TriangularFuzzyNumber, c: int) -> TriangularFuzzyNumber:
 
 
 def tfn_floor_div(num: TriangularFuzzyNumber, div: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
-    """Carry-style floor division: (num.lower // div.upper; num.mode // div.mode; num.upper // div.lower).
+    """Carry-style floor division, pairing the divisor's components in reverse.
 
-    The divisor components pair in reverse so the result stays ordered.
+    (num.lower // div.upper; num.mode // div.mode; num.upper // div.lower) stays ordered.
     """
     _check_radix(div)
     _check_natural(num, "dividend")

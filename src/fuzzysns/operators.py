@@ -6,7 +6,8 @@ over its radix, form a common carry from the partials (F and M only), subtract
 carry times radix for each operand's remainder, and give each image the carry
 times its conversion rate.  :func:`_apply` runs it over a small per-family
 arithmetic (crisp integers, discrete fuzzy numbers, triangular fuzzy numbers);
-``apply_*`` and ``crisp_*`` only shape their arguments for it.
+``apply_*`` and ``crisp_*`` only shape their arguments for it.  Every call
+returns a :class:`TransformResult` holding what the application produced.
 
 Every slot (cardinals, radices, conversion rates) accepts crisp integers,
 discrete fuzzy numbers or triangular fuzzy numbers, with one restriction:
@@ -26,11 +27,10 @@ carry has no source value to correlate with.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
 
 from .carry import common_carry_dfn, common_carry_tri
-from .crisp import TransformResult
 from .errors import OperatorSpecError
 from .numbers import (
     CRISP, DISCRETE, TRIANGULAR, DiscreteFuzzyNumber, FuzzyScalar, TriangularFuzzyNumber,
@@ -60,6 +60,47 @@ class TransformOptions:
 
 
 DEFAULT_OPTIONS = TransformOptions()
+
+
+@dataclass(frozen=True)
+class TransformResult:
+    """Everything one operator application produces.
+
+    Maps are keyed by entity id in operand/image order; ``common_carry`` is
+    None for L and D.  ``warnings`` records validation issues (negative
+    remainder bounds) that are reported but do not fail the call.
+    """
+
+    partial_carries: dict[str, FuzzyScalar]
+    common_carry: Optional[FuzzyScalar]
+    remainders: dict[str, FuzzyScalar]
+    transformants: dict[str, FuzzyScalar]
+    new_image_cardinals: dict[str, FuzzyScalar]
+    warnings: tuple[str, ...] = field(default=())
+
+    def _single(self, mapping: dict, what: str) -> FuzzyScalar:
+        if len(mapping) != 1:
+            raise OperatorSpecError(f"no single {what}: {len(mapping)} present")
+        return next(iter(mapping.values()))
+
+    @property
+    def carry(self) -> FuzzyScalar:
+        """The carry: common carry when formed, else the sole partial carry."""
+        if self.common_carry is not None:
+            return self.common_carry
+        return self._single(self.partial_carries, "partial carry")
+
+    @property
+    def remainder(self) -> FuzzyScalar:
+        return self._single(self.remainders, "remainder")
+
+    @property
+    def transformant(self) -> FuzzyScalar:
+        return self._single(self.transformants, "transformant")
+
+    @property
+    def new_image(self) -> FuzzyScalar:
+        return self._single(self.new_image_cardinals, "image cardinal")
 
 
 # --- per-family arithmetic ---------------------------------------------------

@@ -6,15 +6,17 @@ yields a trace: per step, the full transform result and a snapshot of the
 state after remainders are written back to operand entities and new cardinals
 to image entities.  Evaluation is single-pass and strictly sequential;
 remainders do not feed back into the same step, and entities a step does not
-name are untouched by it.
+name are untouched by it.  Steps are :class:`OperatorSpec` records; the
+valence of each :class:`Form` (:func:`valence_matches`) is a scenario rule,
+as the operators accept any W, V >= 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Optional
 
-from .crisp import Form, OperatorSpec, TransformResult, valence_matches
 from .errors import (
     DomainError,
     FuzzySnsError,
@@ -24,9 +26,50 @@ from .errors import (
     StepExecutionError,
 )
 from .numbers import FuzzyScalar, _check_radix, family, joint_family
-from .operators import TransformOptions, apply_D, apply_F, apply_L, apply_M
+from .operators import TransformOptions, TransformResult, apply_D, apply_F, apply_L, apply_M
 
 Multeity = dict[str, FuzzyScalar]
+
+
+class Form(str, Enum):
+    """Operator form: Line, Distribution, Fusion, Multi."""
+
+    L = "L"
+    D = "D"
+    F = "F"
+    M = "M"
+
+
+def valence_matches(form: Form, w: int, v: int) -> bool:
+    """Strict operand/image counts per form: L=(1,1), D=(1,>=2), F=(>=2,1), M=(>=2,>=2).
+
+    The operator functions themselves are deliberately looser (any W, V >= 1)
+    so degenerate valences can be cross-checked; scenarios enforce this rule.
+    """
+    one_operand, one_image = form in (Form.L, Form.D), form in (Form.L, Form.F)
+    return (w == 1 if one_operand else w >= 2) and (v == 1 if one_image else v >= 2)
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """Description of one operator application inside a scenario.
+
+    ``operands``/``images`` are entity ids; ``radices`` has one radix per
+    operand, ``rates`` one conversion rate per image.  The record itself is
+    permissive; :func:`validate` reports valence and radix
+    violations as diagnostics instead of raising here.
+    """
+
+    form: Form
+    operands: tuple[str, ...]
+    images: tuple[str, ...]
+    radices: tuple[FuzzyScalar, ...]
+    rates: tuple[FuzzyScalar, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "form", Form(self.form))
+        for name in ("operands", "images", "radices", "rates"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +201,7 @@ def run(scenario: Scenario) -> Trace:
 
     Raises ScenarioValidationError up front if validation fails, and
     StepExecutionError (with the step index) if an operator rejects its
-    inputs mid-run.
+    inputs mid-run or a value grows too long to convert to text.
     """
     diagnostics = validate(scenario)
     if diagnostics:
@@ -169,7 +212,7 @@ def run(scenario: Scenario) -> Trace:
     for index, step in enumerate(scenario.steps):
         try:
             result = _run_step(step, state, scenario.options)
-        except FuzzySnsError as exc:
+        except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
         for entity_id, remainder in result.remainders.items():
             state[entity_id] = remainder

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dfn, tri
 from fuzzysns import (
     Form,
     OperatorSpec,
+    ParseError,
     Scenario,
     TransformOptions,
     scenario_from_json,
@@ -104,6 +112,49 @@ class TestEval:
         extension_out = capsys.readouterr().out
         assert "rem={1|1, 2|0.5}" in correlated_out
         assert "rem={-1|0.5, 1|1, 2|0.5, 4|0.5}" in extension_out
+
+    def test_multi_operand_labels(self, tmp_path, capsys):
+        scenario = Scenario(
+            {"i": 17, "j1": 0, "j2": 1, "i1": 10, "i2": 9, "k1": 0, "k2": 2},
+            [
+                OperatorSpec(Form.D, ("i",), ("j1", "j2"), (5,), (2, 3)),
+                OperatorSpec(Form.M, ("i1", "i2"), ("k1", "k2"), (3, 4), (1, 2)),
+            ],
+        )
+        path = write(tmp_path, scenario_to_json(scenario))
+        assert main(["eval", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "step 0 D: p=3 rem=2 q_j1=6 q_j2=9 N'_j1=6 N'_j2=10",
+            "step 1 M: p_i1=3 p_i2=2 p.=2 rem_i1=4 rem_i2=1 q_k1=2 q_k2=4 N'_k1=2 N'_k2=6",
+        ]
+
+        assert main(["eval", path, "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[2], r[3]) for r in rows if r[0]] == [
+            ("0", "partial_carry", "i"), ("0", "remainder", "i"),
+            ("0", "transformant", "j1"), ("0", "transformant", "j2"),
+            ("0", "new_image", "j1"), ("0", "new_image", "j2"),
+            ("1", "partial_carry", "i1"), ("1", "partial_carry", "i2"),
+            ("1", "common_carry", ""),
+            ("1", "remainder", "i1"), ("1", "remainder", "i2"),
+            ("1", "transformant", "k1"), ("1", "transformant", "k2"),
+            ("1", "new_image", "k1"), ("1", "new_image", "k2"),
+        ]
+
+        assert main(["eval", path, "--format", "json"]) == 0
+        steps = json.loads(capsys.readouterr().out)["steps"]
+        keys = [
+            "index", "form", "partial_carries", "common_carry", "remainders",
+            "transformants", "new_image_cardinals", "state",
+        ]
+        assert [list(step) for step in steps] == [keys, keys]
+        assert steps[0]["common_carry"] is None
+        assert steps[1]["common_carry"] == "2"
+        assert steps[1]["partial_carries"] == {"i1": "3", "i2": "2"}
+        assert steps[1]["remainders"] == {"i1": "4", "i2": "1"}
+        assert steps[0]["transformants"] == {"j1": "6", "j2": "9"}
+        assert steps[1]["new_image_cardinals"] == {"k1": "2", "k2": "6"}
 
     def test_clamp_flag(self, tmp_path, capsys):
         scenario = Scenario(
@@ -241,3 +292,129 @@ def test_scenario_round_trip_randomized():
         parsed = scenario_from_json(text)
         assert parsed == scenario
         assert scenario_to_json(parsed) == text
+
+
+BIG = "9" * 4000
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer string conversion limit"
+)
+
+
+def _big_line_step(entity, radix, rate):
+    return (
+        '{"entities": [{"id": "i", "value": %s}, {"id": "j", "value": 0}], "steps": [{"form": '
+        '"L", "operands": ["i"], "images": ["j"], "radix": %s, "rates": [%s]}]}'
+        % (entity, radix, rate)
+    )
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        pytest.param(b'{"entities": [\xff]}', 2, id="not-utf8"),
+        pytest.param(
+            b'{"entities": [{"id": "i", "value": %s}]}' % (b"9" * 5000), 2,
+            marks=needs_digit_limit, id="5000-digit-literal",
+        ),
+        pytest.param(b"[" * 100000 + b"]" * 100000, 2, id="nested-100000-deep"),
+        pytest.param(
+            _big_line_step(BIG, 1, BIG).encode(), 1,
+            marks=needs_digit_limit, id="result-too-long-to-print",
+        ),
+        pytest.param(
+            b'{"entities": [{"id": "i", "value": 1e5000}]}', 2,
+            marks=needs_digit_limit, id="float-too-long-to-print",
+        ),
+        pytest.param(
+            _big_line_step(f"[0, 1, {BIG}]", f"[1, 1, {BIG}]", 1).encode(), 1,
+            marks=needs_digit_limit, id="warning-too-long-to-print",
+        ),
+    ],
+)
+def test_hostile_eval_input_exits_without_traceback(tmp_path, capsys, data, code):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    assert main(["eval", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["table", f"(0; 0; {'9' * 4300})", "--resolution", "3"], id="table"),
+        pytest.param(["carry", "--family", "dfn", f"{{0|1/{2 ** 14000}, 1|1}}"], id="carry"),
+    ],
+)
+def test_output_too_long_to_print_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# JSON-shaped text: scenario documents whose leaves are any JSON value, and
+# some values no scenario reader should choke on.
+_KEYS = st.sampled_from(
+    ["entities", "steps", "options", "id", "value", "kind", "form", "operands", "images",
+     "radix", "rates", "remainder_mode", "clamp_negative", ""]
+)
+_leaves = st.one_of(
+    st.integers().map(str),
+    st.floats().map(json.dumps),
+    st.sampled_from(["true", "false", "null", "1e5000", "-1e-5000", "9" * 5000, "0.5"]),
+    st.sampled_from(['"1/0"', '"(1;2;3)"', '"{1|1}"', '"{1|0.5, 2|1}"', '"L"', '"M"']),
+    st.text(max_size=6).map(json.dumps),
+)
+
+
+def _json_list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _json_object(pairs):
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs.items()) + "}"
+
+
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(_json_list),
+        st.dictionaries(_KEYS, inner, max_size=4).map(_json_object),
+    ),
+    max_leaves=12,
+)
+_ids = st.sampled_from(["a", "b", "c", "d"]).map(json.dumps)
+_entity = st.fixed_dictionaries({"id": _ids, "value": _values}).map(_json_object)
+_step = st.fixed_dictionaries(
+    {
+        "form": st.sampled_from(["L", "D", "F", "M"]).map(json.dumps) | _values,
+        "operands": st.lists(_ids, min_size=1, max_size=2).map(_json_list),
+        "images": st.lists(_ids, min_size=1, max_size=2).map(_json_list),
+        "radix": _values,
+        "rates": _values,
+    }
+).map(_json_object)
+_documents = st.one_of(
+    st.fixed_dictionaries(
+        {"entities": st.lists(_entity, max_size=4).map(_json_list),
+         "steps": st.lists(_step, max_size=3).map(_json_list)}
+    ).map(_json_object),
+    _values,
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_documents)
+def test_json_shaped_text_ends_in_parse_error_or_exit_code(tmp_path_factory, text):
+    try:
+        scenario_from_json(text)
+    except ParseError:
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["eval", str(path)]) in (0, 1, 2)
