@@ -14,11 +14,12 @@ import json
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .numbers import (
     DiscreteFuzzyNumber,
     FuzzyScalar,
     TriangularFuzzyNumber,
+    _fraction_from_text,
     _is_int,
     family,
     format_fraction,
@@ -29,7 +30,9 @@ from .scenario import Form, OperatorSpec, Scenario
 
 def parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _fraction_from_text(text)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a number: {text!r}") from exc
 
@@ -186,10 +189,11 @@ def scenario_to_json(scenario: Scenario) -> str:
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario document; malformed JSON reports line and column.
 
-    Nesting too deep to read and numbers too long to convert are parse errors too.
+    Nesting too deep to read, numbers too long to convert and exponents beyond
+    ``MAX_EXPONENT`` are parse errors too.
     """
     try:
-        return _scenario_from_doc(json.loads(text, parse_float=Fraction))
+        return _scenario_from_doc(json.loads(text, parse_float=_fraction_from_text))
     except ParseError:
         raise
     except json.JSONDecodeError as exc:

@@ -10,8 +10,11 @@ value; ``FuzzyScalar`` is the union of the three.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DomainError, InvalidRadixError, MixedFamilyError
@@ -30,6 +33,30 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+# The exponent of a decimal number's text: "e" or "E", a sign, digits that
+# may be Unicode digits and may hold underscores, as ``Fraction`` reads them.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)")
+# The same limit ``int`` puts on the digits of a literal by default.
+MAX_EXPONENT = 4300
+
+
+def _fraction_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, refusing an exponent over ``MAX_EXPONENT`` in magnitude.
+
+    The exponent sets the number of digits of the numerator or denominator,
+    which every later step (arithmetic, formatting) pays for, so it is
+    checked on the text, before the Fraction is built.
+    """
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise DomainError(
+                f"number {text.strip()!r} has an exponent beyond +-{MAX_EXPONENT}"
+            )
+    return Fraction(text)
+
+
 def as_grade(value: GradeLike) -> Fraction:
     """Coerce a membership grade to an exact Fraction in (0, 1].
 
@@ -37,8 +64,10 @@ def as_grade(value: GradeLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         grade = value
-    elif _is_int(value) or isinstance(value, (float, str)):
-        grade = Fraction(repr(value) if isinstance(value, float) else value)
+    elif _is_int(value):
+        grade = Fraction(value)
+    elif isinstance(value, (float, str)):
+        grade = _fraction_from_text(repr(value) if isinstance(value, float) else value)
     else:
         raise DomainError(f"grade must be numeric, got {value!r}")
     if not 0 < grade <= 1:
@@ -137,9 +166,10 @@ class DiscreteFuzzyNumber:
         return len(self.points) == 1
 
     def grade(self, value: int) -> Fraction:
-        for v, g in self.points:
-            if v == value:
-                return g
+        """Membership of ``value``: 0 off the support; a bisection over ``points``."""
+        index = bisect_left(self.points, (value,))
+        if index < len(self.points) and self.points[index][0] == value:
+            return self.points[index][1]
         return Fraction(0)
 
     def __str__(self) -> str:
@@ -292,14 +322,31 @@ def dfn_zadeh_binary(
 
     The support is the image of the support cross-product; support values that
     collide keep the maximum of their min-combined grades.
+
+    The points of both operands are merged into one list, highest grade
+    first, and each point is paired, as it arrives, with the points of the
+    other operand that arrived before it.  Every earlier point has a grade at
+    least as high, so the arriving point's grade is the pair's min; and the
+    pairs arrive in non-increasing order of that min, so the first grade
+    written for a result value is its sup.  ``op`` is called exactly once for
+    each of the ``len(a.points) * len(b.points)`` support pairs, always as
+    ``op(x, y)`` with ``x`` from ``a``; grades are compared only in the sort.
     """
+    merged = sorted(
+        [(g, 0, x) for x, g in a.points] + [(g, 1, y) for y, g in b.points],
+        key=itemgetter(0), reverse=True,
+    )
+    seen: tuple[list[int], list[int]] = ([], [])
     out: dict[int, Fraction] = {}
-    for x, gx in a.points:
-        for y, gy in b.points:
-            z = op(x, y)
-            g = gx if gx < gy else gy
-            if g > out.get(z, Fraction(0)):
-                out[z] = g
+    put = out.setdefault
+    for g, side, v in merged:
+        seen[side].append(v)
+        if side == 0:
+            for y in seen[1]:
+                put(op(v, y), g)
+        else:
+            for x in seen[0]:
+                put(op(x, v), g)
     return DiscreteFuzzyNumber(out)
 
 

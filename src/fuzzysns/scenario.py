@@ -13,6 +13,7 @@ as the operators accept any W, V >= 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -149,6 +150,12 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             out.append(
                 Diagnostic(index, f"operand and image entities overlap: {sorted(overlap)}")
             )
+        for role, ids in (("operand", step.operands), ("image", step.images)):
+            repeated = sorted(e for e, n in Counter(ids).items() if n > 1)
+            if repeated:
+                out.append(
+                    Diagnostic(index, f"{role} entities listed more than once: {repeated}")
+                )
         for radix in step.radices:
             try:
                 _check_radix(radix)

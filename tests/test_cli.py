@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +169,32 @@ class TestEval:
         assert code == 0
         assert "rem=(0; 1; 6)" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            pytest.param(
+                '{"form": "F", "operands": ["a", "a"], "images": ["b"], '
+                '"radix": [2, 3], "rates": [1]}',
+                id="operands",
+            ),
+            pytest.param(
+                '{"form": "D", "operands": ["a"], "images": ["b", "b"], '
+                '"radix": 2, "rates": [1, 1]}',
+                id="images",
+            ),
+        ],
+    )
+    def test_entity_listed_twice_in_one_step_exits_1(self, tmp_path, capsys, step):
+        text = (
+            '{"entities": [{"id": "a", "value": 7}, {"id": "b", "value": 0}], '
+            '"steps": [%s]}' % step
+        )
+        assert main(["eval", write(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: step 0: ")
+        assert "listed more than once: ['" in captured.err
 
 
 class TestCarry:
@@ -418,3 +447,41 @@ def test_json_shaped_text_ends_in_parse_error_or_exit_code(tmp_path_factory, tex
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["eval", str(path)]) in (0, 1, 2)
+
+
+# A decimal exponent sets a grade's size; one of 1e-1000000 made eval run for
+# minutes.  Each route a number's text takes into a Fraction is bounded:
+# a JSON float, a JSON string grade, and a grade in a CLI literal.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        pytest.param(
+            ["eval"], b'{"entities": [{"id": "i", "value": [[0, 1], [1, 1e-1000000]]}]}',
+            id="json-float",
+        ),
+        pytest.param(
+            ["eval"], b'{"entities": [{"id": "i", "value": [[0, 1], [1, "1e-1_000_000"]]}]}',
+            id="json-string-grade",
+        ),
+        pytest.param(["carry", "--family", "dfn", "{0|1, 1|1e-1000000}"], None, id="literal"),
+    ],
+)
+def test_huge_grade_exponent_exits_2_promptly(tmp_path, argv, data):
+    if data is not None:
+        path = tmp_path / "exponent.json"
+        path.write_bytes(data)
+        argv = [*argv, str(path)]
+    path_entries = [_SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    done = subprocess.run(
+        [sys.executable, "-m", "fuzzysns.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "exponent" in lines[0]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import discretes, dfn, radix_triangles, tri, triangles
 from fuzzysns import (
+    DiscreteFuzzyNumber,
     DomainError,
     InvalidRadixError,
     as_grade,
@@ -24,6 +25,24 @@ from fuzzysns import (
     tfn_sub,
     zadeh_oracle,
 )
+
+
+@st.composite
+def tied_discretes(draw, low=-40, high=40, max_size=40):
+    """Supports of up to ``max_size`` values whose grades are k/3, k/6 or k/10.
+
+    Denominators mix within one number, so grades repeat (1/3 == 2/6,
+    1/2 == 3/6 == 5/10) as well as coincide exactly.
+    """
+    values = draw(
+        st.lists(st.integers(low, high), min_size=1, max_size=max_size, unique=True)
+    )
+    grades = {}
+    for v in values:
+        denominator = draw(st.sampled_from([3, 6, 10]))
+        grades[v] = Fraction(draw(st.integers(1, denominator)), denominator)
+    grades[draw(st.sampled_from(values))] = Fraction(1)
+    return DiscreteFuzzyNumber(grades)
 
 
 class TestTriangularInvariants:
@@ -152,6 +171,18 @@ class TestDiscreteInvariants:
         assert a.grade(5) == Fraction(3, 10)
         assert a.mode == 7
 
+    def test_grade_of_absent_values_is_zero(self):
+        a = dfn({-2: "0.5", 3: 1, 8: "1/3"})
+        probes = (-5, -2, 0, 3, 5, 8, 9)
+        expected = [0, Fraction(1, 2), 0, 1, 0, Fraction(1, 3), 0]
+        assert [a.grade(v) for v in probes] == expected
+        assert dfn({4: 1}).grade(3) == 0 and dfn({4: 1}).grade(5) == 0
+
+    @given(a=tied_discretes(), probe=st.integers(-45, 45))
+    @settings(max_examples=200)
+    def test_grade_matches_points(self, a, probe):
+        assert a.grade(probe) == dict(a.points).get(probe, 0)
+
     def test_mode_is_smallest_grade_one_value(self):
         assert dfn({4: 1, 2: 1, 3: "0.5"}).mode == 2
 
@@ -159,6 +190,14 @@ class TestDiscreteInvariants:
         assert as_grade(0.3) == Fraction(3, 10)
         assert as_grade("0.3") == Fraction(3, 10)
         assert as_grade(1) == 1
+
+    def test_as_grade_bounds_the_exponent(self):
+        assert as_grade("1e-4300") == Fraction(1, 10**4300)
+        assert as_grade(" 0.5E+0_0 ") == Fraction(1, 2)
+        arabic_indic_4301 = "\u0664\u0663\u0660\u0661"
+        for text in ("1e-4301", "1e-1_000_000", "1e-" + arabic_indic_4301, "1E-" + "9" * 5000):
+            with pytest.raises(DomainError, match="exponent"):
+                as_grade(text)
 
 
 class TestZadehBinary:
@@ -188,6 +227,37 @@ class TestZadehBinary:
     @settings(max_examples=200)
     def test_matches_oracle_wide_supports(self, a, b):
         assert dfn_zadeh_binary(operator.add, a, b) == zadeh_oracle(operator.add, a, b)
+
+    @given(
+        a=tied_discretes(),
+        b=tied_discretes(),
+        op=st.sampled_from([operator.add, operator.sub, operator.mul]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_with_tied_grades(self, a, b, op):
+        assert dfn_zadeh_binary(op, a, b) == zadeh_oracle(op, a, b)
+
+    @given(
+        a=tied_discretes(),
+        n=tied_discretes(low=1, high=40),
+        op=st.sampled_from([operator.floordiv, operator.mod]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_div_mod_match_oracle_with_tied_grades(self, a, n, op):
+        assert dfn_zadeh_binary(op, a, n) == zadeh_oracle(op, a, n)
+
+    @given(a=tied_discretes(), b=tied_discretes())
+    @settings(max_examples=100, deadline=None)
+    def test_each_support_pair_visited_once(self, a, b):
+        calls = []
+
+        def op(x, y):
+            calls.append((x, y))
+            return x + y
+
+        dfn_zadeh_binary(op, a, b)
+        assert len(calls) == len(a.points) * len(b.points)
+        assert sorted(calls) == sorted((x, y) for x, _ in a.points for y, _ in b.points)
 
     @given(a=discretes(), b=discretes())
     @settings(max_examples=100)
