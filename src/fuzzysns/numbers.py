@@ -10,11 +10,11 @@ value; ``FuzzyScalar`` is the union of the three.
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DomainError, InvalidRadixError, MixedFamilyError
@@ -321,65 +321,56 @@ def dfn_zadeh_binary(
     """Sup-min extension of a binary integer function to discrete fuzzy numbers.
 
     The support is the image of the support cross-product; support values that
-    collide keep the maximum of their min-combined grades.
+    collide keep the maximum of their min-combined grades.  Every discrete
+    operation is one such call, crisp operands lifted to singletons.
 
-    The points of both operands are merged into one list, highest grade
-    first, and each point is paired, as it arrives, with the points of the
-    other operand that arrived before it.  Every earlier point has a grade at
-    least as high, so the arriving point's grade is the pair's min; and the
-    pairs arrive in non-increasing order of that min, so the first grade
-    written for a result value is its sup.  ``op`` is called exactly once for
-    each of the ``len(a.points) * len(b.points)`` support pairs, always as
-    ``op(x, y)`` with ``x`` from ``a``; grades are compared only in the sort.
+    Both operands' support values are bucketed by grade and the distinct
+    grades visited highest first.  At each level the new ``a`` values are
+    paired with the ``b`` values seen so far, then the new ``b`` values with
+    the ``a`` values seen so far, this level's included.  The level's grade is
+    then each new pair's min, and the first grade written for a result value
+    is its sup.  ``op`` is called exactly once per support pair, always as
+    ``op(x, y)`` with ``x`` from ``a``; only the distinct grades are compared.
     """
-    merged = sorted(
-        [(g, 0, x) for x, g in a.points] + [(g, 1, y) for y, g in b.points],
-        key=itemgetter(0), reverse=True,
-    )
-    seen: tuple[list[int], list[int]] = ([], [])
+    levels: dict[Fraction, tuple[list[int], list[int]]] = {}
+    for side, number in enumerate((a, b)):
+        for v, g in number.points:
+            levels.setdefault(g, ([], []))[side].append(v)
+    seen_a: list[int] = []
+    seen_b: list[int] = []
     out: dict[int, Fraction] = {}
     put = out.setdefault
-    for g, side, v in merged:
-        seen[side].append(v)
-        if side == 0:
-            for y in seen[1]:
-                put(op(v, y), g)
-        else:
-            for x in seen[0]:
-                put(op(x, v), g)
-    return DiscreteFuzzyNumber(out)
-
-
-def _dfn_map(a: DiscreteFuzzyNumber, f: Callable[[int], int]) -> DiscreteFuzzyNumber:
-    """Image of ``a`` under an integer function; values that collide keep the max grade."""
-    out: dict[int, Fraction] = {}
-    for t, g in a.points:
-        z = f(t)
-        if g > out.get(z, Fraction(0)):
-            out[z] = g
+    for g in sorted(levels, reverse=True):
+        new_a, new_b = levels[g]
+        for x in new_a:
+            for y in seen_b:
+                put(op(x, y), g)
+        seen_a += new_a
+        for y in new_b:
+            for x in seen_a:
+                put(op(x, y), g)
+        seen_b += new_b
     return DiscreteFuzzyNumber(out)
 
 
 def dfn_floor_div(
     a: DiscreteFuzzyNumber, n: Union[int, DiscreteFuzzyNumber]
 ) -> DiscreteFuzzyNumber:
-    """Carry of a discrete cardinal over a crisp or discrete radix.
+    """Carry of a discrete cardinal over a crisp or discrete radix: sup-min ``t // s``.
 
-    Crisp radix maps each support value t to t // n keeping its grade;
-    a discrete radix extends over support pairs.  Collisions keep max grade.
+    A crisp radix is lifted to a singleton, so each support value t maps to
+    t // n keeping its grade.  Collisions keep the max grade.
     """
-    if isinstance(n, DiscreteFuzzyNumber):
-        _check_radix(n)
-        return dfn_zadeh_binary(lambda t, s: t // s, a, n)
-    _check_radix(_as_int(n, "radix"))
-    return _dfn_map(a, lambda t: t // n)
+    _check_radix(n)
+    return dfn_zadeh_binary(operator.floordiv, a, lift_discrete(n))
 
 
-def dfn_mod(a: DiscreteFuzzyNumber, n: int) -> DiscreteFuzzyNumber:
-    """Correlated remainder: each support value t maps to t mod n.
+def dfn_mod(a: DiscreteFuzzyNumber, n: Union[int, DiscreteFuzzyNumber]) -> DiscreteFuzzyNumber:
+    """Correlated remainder over a crisp or discrete radix: sup-min ``t mod s``.
 
-    This is the reading that keeps the remainder paired with the support value
-    it came from; the cross-product alternative is a separate, selectable path.
+    Each support value t maps to its own remainder, which keeps the remainder
+    paired with the support value it came from; the cross-product alternative
+    (``N - carry * radix``) is a separate, selectable path.
     """
-    _check_radix(_as_int(n, "radix"))
-    return _dfn_map(a, lambda t: t % n)
+    _check_radix(n)
+    return dfn_zadeh_binary(operator.mod, a, lift_discrete(n))

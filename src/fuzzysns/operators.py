@@ -33,8 +33,8 @@ from typing import Callable, Literal, Optional, Sequence
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import OperatorSpecError
 from .numbers import (
-    CRISP, DISCRETE, TRIANGULAR, DiscreteFuzzyNumber, FuzzyScalar, TriangularFuzzyNumber,
-    _as_int, _check_natural, _check_radix, _dfn_map, _lowest, dfn_floor_div, dfn_mod,
+    CRISP, DISCRETE, TRIANGULAR, FuzzyScalar, TriangularFuzzyNumber,
+    _as_int, _check_natural, _check_radix, _lowest, dfn_floor_div, dfn_mod,
     dfn_zadeh_binary, joint_family, lift_discrete, lift_triangular,
     tfn_add, tfn_floor_div, tfn_mul, tfn_sub,
 )
@@ -145,12 +145,9 @@ _FAMILIES = {
         add=lambda a, b: dfn_zadeh_binary(operator.add, a, b),
         sub=lambda a, b: dfn_zadeh_binary(operator.sub, a, b),
         common=lambda partials: common_carry_dfn(partials),
-        clamp=lambda value: _dfn_map(value, lambda v: max(0, v)),
+        clamp=lambda value: dfn_zadeh_binary(max, value, lift_discrete(0)),
         negative="has negative support values (min {})",
-        correlated=lambda cardinal, radix: (
-            dfn_zadeh_binary(operator.mod, cardinal, radix)
-            if isinstance(radix, DiscreteFuzzyNumber) else dfn_mod(cardinal, radix)
-        ),
+        correlated=lambda cardinal, radix: dfn_mod(cardinal, radix),
     ),
     TRIANGULAR: _Family(
         lift=lambda value: lift_triangular(value),

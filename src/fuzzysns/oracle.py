@@ -93,12 +93,12 @@ def random_dfn(
 def equivalence_suite(seed: int, cases: int) -> tuple[int, int]:
     """Compare the production sup-min paths against this oracle on random cases.
 
-    Covers the raw binary combination (add/sub/mul), carry division, the
-    correlated remainder (which is the extension of two-place mod), and every
-    sup-min step of discrete line and fusion applications: carries,
-    transformants, image cardinals, and extension-mode remainders (for fusion,
-    relative to the formed common carry).  Returns (passed, total);
-    deterministic for a given seed.
+    Covers the raw binary combination (add/sub/mul), carry division and the
+    correlated remainder (the extension of two-place mod) over crisp and
+    discrete radices, and every sup-min step of discrete line and fusion
+    applications: carries, transformants, image cardinals, and extension-mode
+    remainders (for fusion, relative to the formed common carry).  Returns
+    (passed, total); deterministic for a given seed.
     """
     from .numbers import dfn_floor_div, dfn_mod, dfn_zadeh_binary, lift_discrete
     from .operators import TransformOptions, apply_F, apply_L
@@ -132,7 +132,7 @@ def equivalence_suite(seed: int, cases: int) -> tuple[int, int]:
             )
         elif kind == 2:
             a = random_dfn(rng)
-            n = rng.randint(1, 6)
+            n = pick_radix()
             ok = dfn_mod(a, n) == zadeh_oracle(operator.mod, a, lift_discrete(n))
         elif kind == 3:
             cardinal = random_dfn(rng)

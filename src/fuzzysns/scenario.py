@@ -26,7 +26,7 @@ from .errors import (
     ScenarioValidationError,
     StepExecutionError,
 )
-from .numbers import FuzzyScalar, _check_radix, family, joint_family
+from .numbers import FuzzyScalar, _check_natural, _check_radix, family, joint_family
 from .operators import TransformOptions, TransformResult, apply_D, apply_F, apply_L, apply_M
 
 Multeity = dict[str, FuzzyScalar]
@@ -164,8 +164,11 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             except DomainError:
                 out.append(Diagnostic(index, f"radix {radix!r} is not a fuzzy scalar"))
         for rate in step.rates:
-            if not _scalar_ok(rate):
-                out.append(Diagnostic(index, f"rate {rate!r} is not a fuzzy scalar"))
+            try:
+                _check_natural(rate, "conversion rate")
+            except DomainError as exc:
+                message = str(exc) if _scalar_ok(rate) else f"rate {rate!r} is not a fuzzy scalar"
+                out.append(Diagnostic(index, message))
         known = [e for e in (*step.operands, *step.images) if e in scenario.initial]
         try:
             joint_family(

@@ -196,6 +196,18 @@ class TestEval:
         assert captured.err.startswith("invalid: step 0: ")
         assert "listed more than once: ['" in captured.err
 
+    @pytest.mark.parametrize("rate", ["-1", "[-1, 1, 2]"])
+    def test_negative_rate_exits_1(self, tmp_path, capsys, rate):
+        text = (
+            '{"entities": [{"id": "a", "value": 7}, {"id": "b", "value": 0}], '
+            '"steps": [{"form": "L", "operands": ["a"], "images": ["b"], '
+            '"radix": 2, "rates": [%s]}]}' % rate
+        )
+        assert main(["eval", write(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: step 0: conversion rate must be >= 0")
+
 
 class TestCarry:
     def test_triangular(self, capsys):

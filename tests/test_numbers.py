@@ -10,6 +10,7 @@ from fuzzysns import (
     DiscreteFuzzyNumber,
     DomainError,
     InvalidRadixError,
+    MixedFamilyError,
     as_grade,
     crisp_value,
     dfn_floor_div,
@@ -259,6 +260,21 @@ class TestZadehBinary:
         assert len(calls) == len(a.points) * len(b.points)
         assert sorted(calls) == sorted((x, y) for x, _ in a.points for y, _ in b.points)
 
+    @given(a=tied_discretes(), x=st.integers(-5, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_singleton_operand_visits_each_pair_once(self, a, x):
+        for left, right in ((a, lift_discrete(x)), (lift_discrete(x), a)):
+            calls = []
+
+            def op(p, q):
+                calls.append((p, q))
+                return p - q
+
+            dfn_zadeh_binary(op, left, right)
+            assert sorted(calls) == sorted(
+                (p, q) for p, _ in left.points for q, _ in right.points
+            )
+
     @given(a=discretes(), b=discretes())
     @settings(max_examples=100)
     def test_normality_closure(self, a, b):
@@ -292,11 +308,32 @@ class TestDiscreteDivMod:
         with pytest.raises(InvalidRadixError):
             dfn_mod(dfn({7: 1}), 0)
 
+    @given(a=tied_discretes(), n=tied_discretes(low=1, high=40))
+    @settings(max_examples=200, deadline=None)
+    def test_mod_discrete_radix_matches_oracle(self, a, n):
+        assert dfn_mod(a, n) == zadeh_oracle(operator.mod, a, n)
+
+    @pytest.mark.parametrize("fn", [dfn_floor_div, dfn_mod])
+    def test_radix_error_classes(self, fn):
+        with pytest.raises(DomainError):
+            fn(dfn({7: 1}), True)
+        with pytest.raises(InvalidRadixError):
+            fn(dfn({7: 1}), 0)
+        with pytest.raises(MixedFamilyError):
+            fn(dfn({7: 1}), tri(1, 2, 3))
+
     @given(a=discretes(), n=st.integers(1, 9))
     @settings(max_examples=200)
     def test_div_mod_normality_closure(self, a, n):
         assert any(g == 1 for _, g in dfn_floor_div(a, n).points)
         assert any(g == 1 for _, g in dfn_mod(a, n).points)
+
+    @given(a=tied_discretes(), n=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_crisp_radix_matches_oracle_with_tied_grades(self, a, n):
+        radix = lift_discrete(n)
+        assert dfn_floor_div(a, n) == zadeh_oracle(operator.floordiv, a, radix)
+        assert dfn_mod(a, n) == zadeh_oracle(operator.mod, a, radix)
 
     @given(x=st.integers(0, 10**6), n=st.integers(1, 10**3))
     @settings(max_examples=200)

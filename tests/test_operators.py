@@ -120,6 +120,19 @@ class TestDiscreteLine:
         assert result.remainder.points[0][0] >= 0
         assert result.warnings == ()
 
+    @pytest.mark.parametrize(
+        "cardinal, clamped",
+        [
+            (dfn({4: "0.3", 5: "0.6", 7: 1}), dfn({0: "0.6", 1: 1, 2: "0.6", 4: "0.6"})),
+            (dfn({4: "0.6", 5: "0.3", 7: 1}), dfn({0: "0.6", 1: 1, 2: "0.3", 4: "0.6"})),
+        ],
+    )
+    def test_clamp_collapse_keeps_the_larger_grade(self, cardinal, clamped):
+        # The extension remainders hold -2 and -1 with different grades;
+        # both become 0, which keeps the larger of the two.
+        options = TransformOptions(remainder_mode="extension", clamp_negative=True)
+        assert apply_L(cardinal, 0, 3, 1, options=options).remainder == clamped
+
 
 class TestTriangularEdges:
     def test_negative_remainder_warning(self):

@@ -58,6 +58,13 @@ class TestValidate:
         s = Scenario({"i": 7, "j": 0, "k": 0}, [bad])
         assert any("rates" in d.message for d in validate(s))
 
+    @pytest.mark.parametrize("rate", [-1, tri(-1, 1, 2)])
+    def test_negative_rate_flagged(self, rate):
+        s = Scenario({"i": 7, "j": 1}, [line_step("i", "j", 3, rate)])
+        assert [d.message for d in validate(s)] == [
+            f"conversion rate must be >= 0, got {rate}"
+        ]
+
 
 class TestRun:
     def test_single_line_step(self):
