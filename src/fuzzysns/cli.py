@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import get_args
 
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
@@ -30,7 +31,7 @@ from .formats import (
 )
 from .numbers import tfn_membership
 from .oracle import equivalence_suite
-from .operators import TransformOptions, TransformResult
+from .operators import RemainderMode, TransformOptions, TransformResult
 from .scenario import Scenario, Trace, run
 
 PARSE_FAILURE = 2
@@ -76,6 +77,11 @@ def _trace_text(trace: Trace) -> str:
 
 
 def _trace_json(trace: Trace) -> str:
+    # State literals: seeded once, skipping step 0's writes, then updated by each walk.
+    first = trace.steps[0] if trace.steps else None
+    written = {*first.result.remainders, *first.result.new_image_cardinals} if first else ()
+    seed = first.state if first else trace.final
+    state = {k: None if k in written else format_scalar(v) for k, v in seed.items()}
     steps = []
     for step in trace.steps:
         doc: dict = {"index": step.index, "form": step.spec.form.value}
@@ -84,10 +90,11 @@ def _trace_json(trace: Trace) -> str:
                 doc[name] = literal
             else:
                 doc.setdefault(name, {})[entity_id] = literal
-        doc["state"] = {k: format_scalar(v) for k, v in step.state.items()}
+                if name in ("remainders", "new_image_cardinals"):
+                    state[entity_id] = literal
+        doc["state"] = dict(state)
         steps.append(doc)
-    final = {k: format_scalar(v) for k, v in trace.final.items()}
-    return json.dumps({"steps": steps, "final": final, "warnings": list(trace.warnings)}, indent=2)
+    return json.dumps({"steps": steps, "final": state, "warnings": list(trace.warnings)}, indent=2)
 
 
 def _trace_csv(trace: Trace) -> str:
@@ -178,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("scenario", help="path to a scenario JSON document")
     eval_parser.add_argument("--format", choices=tuple(_RENDERERS), default="text")
     eval_parser.add_argument(
-        "--remainder-mode", choices=("correlated", "extension"), default=None,
+        "--remainder-mode", choices=get_args(RemainderMode), default=None,
         help="override the scenario's discrete remainder semantics",
     )
     eval_parser.add_argument(

@@ -234,8 +234,6 @@ def _scenario_from_doc(doc: Any) -> Scenario:
         raise ParseError("'options' must be an object")
     mode = options_node.get("remainder_mode", "correlated")
     clamp = options_node.get("clamp_negative", False)
-    if mode not in ("correlated", "extension"):
-        raise ParseError(f"options.remainder_mode must be correlated|extension, got {mode!r}")
     if not isinstance(clamp, bool):
         raise ParseError("options.clamp_negative must be a boolean")
-    return Scenario(initial, steps, TransformOptions(remainder_mode=mode, clamp_negative=clamp))
+    return Scenario(initial, steps, _build("options", TransformOptions, mode, clamp))

@@ -332,6 +332,9 @@ def dfn_zadeh_binary(
     is its sup.  ``op`` is called exactly once per support pair, always as
     ``op(x, y)`` with ``x`` from ``a``; only the distinct grades are compared.
     """
+    for number in (a, b):
+        if lift_discrete(number) is not number:  # a triangular one raises MixedFamilyError
+            raise DomainError(f"sup-min extension needs discrete fuzzy numbers, got {number!r}")
     levels: dict[Fraction, tuple[list[int], list[int]]] = {}
     for side, number in enumerate((a, b)):
         for v, g in number.points:

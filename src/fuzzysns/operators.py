@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence, get_args
 
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import OperatorSpecError
@@ -55,7 +55,7 @@ class TransformOptions:
     clamp_negative: bool = False
 
     def __post_init__(self):
-        if self.remainder_mode not in ("correlated", "extension"):
+        if self.remainder_mode not in get_args(RemainderMode):
             raise OperatorSpecError(f"unknown remainder mode {self.remainder_mode!r}")
 
 

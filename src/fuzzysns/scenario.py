@@ -2,18 +2,20 @@
 
 A scenario holds the initial state of a multeity (entity id -> cardinal), the
 operator steps to apply in order, and the transform options.  Running it
-yields a trace: per step, the full transform result and a snapshot of the
-state after remainders are written back to operand entities and new cardinals
-to image entities.  Evaluation is single-pass and strictly sequential;
-remainders do not feed back into the same step, and entities a step does not
-name are untouched by it.  Steps are :class:`OperatorSpec` records; the
-valence of each :class:`Form` (:func:`valence_matches`) is a scenario rule,
-as the operators accept any W, V >= 1.
+yields a trace: per step, the transform result and a read-only view of the
+state after remainders go back to operands and new cardinals to images; each
+write is stored once, per entity, and the views read it there.  Evaluation is
+single-pass and strictly sequential; remainders do not feed back into the
+same step, and entities a step does not name are untouched by it.  Steps are
+:class:`OperatorSpec` records; the valence of each :class:`Form`
+(:func:`valence_matches`) is a scenario rule, as the operators accept any W, V >= 1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -97,12 +99,29 @@ class Diagnostic:
         return f"step {self.step}: {self.message}"
 
 
+class _State(Mapping):
+    """The multeity after step ``index``: a read-only view of the write history."""
+
+    def __init__(self, history: dict[str, tuple[list[int], list]], index: int):
+        self._history, self._index = history, index
+
+    def __getitem__(self, entity_id: str) -> FuzzyScalar:
+        indices, values = self._history[entity_id]
+        return values[bisect_right(indices, self._index) - 1]
+
+    def __len__(self) -> int:
+        return len(self._history)
+
+    def __iter__(self):
+        return iter(self._history)
+
+
 @dataclass(frozen=True)
 class TraceStep:
     index: int
     spec: OperatorSpec
     result: TransformResult
-    state: Multeity
+    state: Mapping[str, FuzzyScalar]
 
 
 @dataclass(frozen=True)
@@ -180,9 +199,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     return out
 
 
-def _run_step(
-    step: OperatorSpec, state: Multeity, options: TransformOptions
-) -> TransformResult:
+def _run_step(step: OperatorSpec, state: Multeity, options: TransformOptions) -> TransformResult:
     operands = [state[e] for e in step.operands]
     images = [state[e] for e in step.images]
     if step.form == Form.L:
@@ -217,6 +234,7 @@ def run(scenario: Scenario) -> Trace:
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
     state: Multeity = dict(scenario.initial)
+    history = {entity_id: ([-1], [value]) for entity_id, value in state.items()}
     trace_steps: list[TraceStep] = []
     warnings: list[str] = []
     for index, step in enumerate(scenario.steps):
@@ -224,10 +242,10 @@ def run(scenario: Scenario) -> Trace:
             result = _run_step(step, state, scenario.options)
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
-        for entity_id, remainder in result.remainders.items():
-            state[entity_id] = remainder
-        for entity_id, cardinal in result.new_image_cardinals.items():
-            state[entity_id] = cardinal
+        for entity_id, value in (*result.remainders.items(), *result.new_image_cardinals.items()):
+            state[entity_id] = value
+            history[entity_id][0].append(index)
+            history[entity_id][1].append(value)
         warnings.extend(f"step {index}: {w}" for w in result.warnings)
-        trace_steps.append(TraceStep(index, step, result, dict(state)))
-    return Trace(tuple(trace_steps), dict(state), tuple(warnings))
+        trace_steps.append(TraceStep(index, step, result, _State(history, index)))
+    return Trace(tuple(trace_steps), state, tuple(warnings))

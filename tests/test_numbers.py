@@ -281,6 +281,16 @@ class TestZadehBinary:
         result = dfn_zadeh_binary(operator.add, a, b)
         assert any(g == 1 for _, g in result.points)
 
+    @pytest.mark.parametrize("a, b", [(7, dfn({3: 1})), (dfn({7: 1}), 3), (None, dfn({3: 1}))])
+    def test_non_discrete_operand_is_a_domain_error(self, a, b):
+        with pytest.raises(DomainError):
+            dfn_zadeh_binary(operator.add, a, b)
+
+    @pytest.mark.parametrize("a, b", [(tri(1, 2, 3), dfn({3: 1})), (dfn({7: 1}), tri(1, 2, 3))])
+    def test_triangular_operand_is_a_mixed_family_error(self, a, b):
+        with pytest.raises(MixedFamilyError):
+            dfn_zadeh_binary(operator.add, a, b)
+
 
 class TestDiscreteDivMod:
     def test_floor_div_collapses_colliding_supports(self):
@@ -321,6 +331,17 @@ class TestDiscreteDivMod:
             fn(dfn({7: 1}), 0)
         with pytest.raises(MixedFamilyError):
             fn(dfn({7: 1}), tri(1, 2, 3))
+
+    @pytest.mark.parametrize("fn", [dfn_floor_div, dfn_mod])
+    def test_cardinal_error_classes(self, fn):
+        with pytest.raises(DomainError):
+            fn(7, 3)
+        with pytest.raises(DomainError):
+            fn("7", 3)
+        with pytest.raises(MixedFamilyError):
+            fn(tri(6, 7, 8), 3)
+        with pytest.raises(MixedFamilyError):
+            fn(tri(6, 7, 8), dfn({3: 1}))
 
     @given(a=discretes(), n=st.integers(1, 9))
     @settings(max_examples=200)

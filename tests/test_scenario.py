@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from conftest import dfn, tri
@@ -150,3 +153,73 @@ class TestRun:
         trace = run(s)
         assert trace.final["i"].points[0][0] == -1
         assert any("negative" in w for w in trace.warnings)
+
+
+def _random_value(rng, family, low):
+    if family == "crisp":
+        return rng.randint(low, 12)
+    if family == "triangular":
+        a, m, b = sorted(rng.randint(low, 12) for _ in range(3))
+        return tri(a, m, b)
+    values = rng.sample(range(low, 13), rng.randint(1, 3))
+    grades = {v: f"0.{rng.randint(1, 9)}" for v in values}
+    grades[rng.choice(values)] = 1
+    return dfn(grades)
+
+
+def _random_scenario(seed):
+    """A runnable scenario over all four forms, with entities no step names."""
+    rng = random.Random(f"state-view-{seed}")
+    family = rng.choice(("crisp", "discrete", "triangular"))
+    named = [f"e{k}" for k in range(6)]
+    entities = named + [f"bystander{k}" for k in range(rng.randint(0, 3))]
+    rng.shuffle(entities)
+    initial = {e: _random_value(rng, family, 0) for e in entities}
+    steps = []
+    for _ in range(rng.choice((0, 1, 3, 6))):
+        form = rng.choice(list(Form))
+        w = 1 if form in (Form.L, Form.D) else rng.randint(2, 3)
+        v = 1 if form in (Form.L, Form.F) else rng.randint(2, 3)
+        picked = rng.sample(named, w + v)
+        radices = [_random_value(rng, family, 1) for _ in range(w)]
+        rates = [_random_value(rng, family, 0) for _ in range(v)]
+        steps.append(OperatorSpec(form, picked[:w], picked[w:], radices, rates))
+    mode = rng.choice(("correlated", "extension"))
+    return Scenario(initial, steps, TransformOptions(mode, clamp_negative=True))
+
+
+class TestTraceStates:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_states_replay_the_writes(self, seed):
+        scenario = _random_scenario(seed)
+        trace = run(scenario)
+        expected = dict(scenario.initial)
+        for step in trace.steps:
+            expected.update(step.result.remainders)
+            expected.update(step.result.new_image_cardinals)
+            assert step.state == expected
+            assert len(step.state) == len(expected)
+            assert list(step.state.items()) == list(expected.items())
+        assert type(trace.final) is dict
+        assert list(trace.final.items()) == list(expected.items())
+
+    def test_state_is_read_only(self):
+        trace = run(Scenario({"i": 7, "j": 10}, [line_step("i", "j", 3, 2)]))
+        with pytest.raises(TypeError):
+            trace.steps[0].state["x"] = 0
+        assert dict(trace.steps[0].state) == {"i": 1, "j": 14}
+
+    def test_long_chain_stores_no_state_copies(self):
+        # One copy of a 1500-entity state per step would take tens of megabytes.
+        count = 1500
+        initial = {f"e{k}": 1000 + k for k in range(count)}
+        steps = [line_step(f"e{k}", f"e{k + 1}", 3, 1) for k in range(count - 1)]
+        scenario = Scenario(initial, steps)
+        tracemalloc.start()
+        try:
+            trace = run(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) == count - 1
+        assert peak < 10 * 1024 * 1024
