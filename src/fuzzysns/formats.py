@@ -5,12 +5,16 @@ Literal syntax: crisp values print as bare integers, triangular triples as
 support value.  Grades print as exact decimals when the denominator allows it
 and as "p/q" otherwise, so every printed literal re-parses to an identical
 value.  Scenario files are JSON documents; floats inside them are read as
-exact fractions, never binary floats.
+exact fractions, never binary floats.  Each record (document, entity, step,
+options) is read against one key table, :func:`_record`.  Option keys and
+defaults come from :class:`TransformOptions`; every discrete value reaches
+:class:`DiscreteFuzzyNumber` as pairs, which alone rules on duplicates.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -42,10 +46,10 @@ def format_scalar(value: FuzzyScalar) -> str:
     return str(value)
 
 
-def _build(where: str | None, make: Callable, *args):
-    """``make(*args)``, with a constructor's complaint raised as a ParseError at ``where``."""
+def _build(where: str | None, make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)``, a constructor's complaint raised as a ParseError at ``where``."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except (ValueError, ArithmeticError) as exc:
         raise ParseError(str(exc) if where is None else f"{where}: {exc}") from exc
 
@@ -68,7 +72,7 @@ def parse_discrete(text: str) -> DiscreteFuzzyNumber:
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ParseError(f"discrete literal must look like {{v|grade, ...}}: {text!r}")
-    points = {}
+    points = []
     for chunk in body[1:-1].split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -80,7 +84,7 @@ def parse_discrete(text: str) -> DiscreteFuzzyNumber:
             value = int(value_text.strip())
         except ValueError as exc:
             raise ParseError(f"support value must be an integer: {chunk!r}") from exc
-        points[value] = parse_fraction(grade_text)
+        points.append((value, parse_fraction(grade_text)))
     return _build(None, DiscreteFuzzyNumber, points)
 
 
@@ -111,21 +115,35 @@ def _scalar_from_json(node: Any, where: str) -> FuzzyScalar:
     if _is_int(node):
         return node
     if isinstance(node, str):
-        return parse_scalar(node)
+        return _build(where, parse_scalar, node)
     if isinstance(node, dict):
-        items = []
-        for key, grade in node.items():
-            try:
-                items.append((int(key), grade))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: support key {key!r} is not an integer") from exc
-        return _build(where, DiscreteFuzzyNumber, items)
+        node = [[_support_key(key, where), grade] for key, grade in node.items()]
     if isinstance(node, list):
         if len(node) == 3 and all(_is_int(x) for x in node):
             return _build(where, TriangularFuzzyNumber, *node)
-        if node and all(isinstance(x, list) and len(x) == 2 for x in node):
-            return _build(where, DiscreteFuzzyNumber, [(v, g) for v, g in node])
+        if all(isinstance(x, list) and len(x) == 2 for x in node):
+            return _build(where, DiscreteFuzzyNumber, node)
     raise ParseError(f"{where}: cannot read fuzzy scalar from {node!r}")
+
+
+def _support_key(key: str, where: str) -> int:
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise ParseError(f"{where}: support key {key!r} is not an integer") from exc
+
+
+def _record(node: Any, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """``node`` as a record: an object with every ``required`` key and no key outside the two."""
+    if not isinstance(node, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    for key in required:
+        if key not in node:
+            raise ParseError(f"{where}: missing {key!r}")
+    for key in node:
+        if key not in required and key not in optional:
+            raise ParseError(f"{where}: unknown key {key!r}")
+    return node
 
 
 def _step_to_json(step: OperatorSpec) -> dict:
@@ -141,17 +159,11 @@ def _step_to_json(step: OperatorSpec) -> dict:
 
 def _step_from_json(node: Any, index: int) -> OperatorSpec:
     where = f"steps[{index}]"
-    if not isinstance(node, dict):
-        raise ParseError(f"{where}: step must be an object")
+    _record(node, where, ("form", "operands", "images", "radix", "rates"))
     try:
         form = Form(node["form"])
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing 'form'") from exc
     except ValueError as exc:
         raise ParseError(f"{where}: unknown form {node['form']!r}") from exc
-    for key in ("operands", "images", "radix", "rates"):
-        if key not in node:
-            raise ParseError(f"{where}: missing '{key}'")
     for key in ("operands", "images"):
         if not isinstance(node[key], list) or not all(isinstance(e, str) for e in node[key]):
             raise ParseError(f"{where}: '{key}' must be a list of entity ids")
@@ -178,10 +190,7 @@ def scenario_to_json(scenario: Scenario) -> str:
             for entity_id, value in scenario.initial.items()
         ],
         "steps": [_step_to_json(step) for step in scenario.steps],
-        "options": {
-            "remainder_mode": scenario.options.remainder_mode,
-            "clamp_negative": scenario.options.clamp_negative,
-        },
+        "options": asdict(scenario.options),
     }
     return json.dumps(doc, indent=2)
 
@@ -203,16 +212,14 @@ def scenario_from_json(text: str) -> Scenario:
 
 
 def _scenario_from_doc(doc: Any) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    entities_node = doc.get("entities")
-    if not isinstance(entities_node, list):
-        raise ParseError("missing or invalid 'entities' list")
+    _record(doc, "scenario document", ("entities",), ("steps", "options"))
+    for key in ("entities", "steps"):
+        if not isinstance(doc.get(key, []), list):
+            raise ParseError(f"'{key}' must be a list")
     initial: dict[str, FuzzyScalar] = {}
-    for k, node in enumerate(entities_node):
+    for k, node in enumerate(doc["entities"]):
         where = f"entities[{k}]"
-        if not isinstance(node, dict) or "id" not in node or "value" not in node:
-            raise ParseError(f"{where}: entity must be an object with 'id' and 'value'")
+        _record(node, where, ("id", "value"), ("kind",))
         entity_id = node["id"]
         if not isinstance(entity_id, str) or not entity_id:
             raise ParseError(f"{where}: entity id must be a nonempty string")
@@ -225,15 +232,7 @@ def _scenario_from_doc(doc: Any) -> Scenario:
                 f"{where}: declared kind {kind!r} does not match value kind {family(value)!r}"
             )
         initial[entity_id] = value
-    steps_node = doc.get("steps", [])
-    if not isinstance(steps_node, list):
-        raise ParseError("'steps' must be a list")
-    steps = tuple(_step_from_json(node, k) for k, node in enumerate(steps_node))
-    options_node = doc.get("options", {})
-    if not isinstance(options_node, dict):
-        raise ParseError("'options' must be an object")
-    mode = options_node.get("remainder_mode", "correlated")
-    clamp = options_node.get("clamp_negative", False)
-    if not isinstance(clamp, bool):
-        raise ParseError("options.clamp_negative must be a boolean")
-    return Scenario(initial, steps, _build("options", TransformOptions, mode, clamp))
+    steps = tuple(_step_from_json(node, k) for k, node in enumerate(doc.get("steps", [])))
+    keys = tuple(f.name for f in fields(TransformOptions))
+    options = _record(doc.get("options", {}), "options", (), keys)
+    return Scenario(initial, steps, _build("options", TransformOptions, **options))

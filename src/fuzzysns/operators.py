@@ -57,6 +57,8 @@ class TransformOptions:
     def __post_init__(self):
         if self.remainder_mode not in get_args(RemainderMode):
             raise OperatorSpecError(f"unknown remainder mode {self.remainder_mode!r}")
+        if not isinstance(self.clamp_negative, bool):
+            raise OperatorSpecError(f"clamp_negative must be a boolean: {self.clamp_negative!r}")
 
 
 DEFAULT_OPTIONS = TransformOptions()

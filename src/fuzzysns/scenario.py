@@ -142,8 +142,10 @@ def _scalar_ok(value) -> bool:
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All reasons the scenario cannot run; empty list means runnable.
 
-    Family-mix checks use the initial cardinals; a step can still fail at run
-    time if an earlier step moved an entity into a conflicting family.
+    Family-mix checks use the initial cardinals and skip any value (or unknown
+    entity) that is not a fuzzy scalar, which is reported on its own; a step
+    can still fail at run time if an earlier step moved an entity into a
+    conflicting family.
     """
     out: list[Diagnostic] = []
     for entity_id, cardinal in scenario.initial.items():
@@ -188,12 +190,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             except DomainError as exc:
                 message = str(exc) if _scalar_ok(rate) else f"rate {rate!r} is not a fuzzy scalar"
                 out.append(Diagnostic(index, message))
-        known = [e for e in (*step.operands, *step.images) if e in scenario.initial]
+        known = [scenario.initial.get(e) for e in (*step.operands, *step.images)]
         try:
-            joint_family(
-                [scenario.initial[e] for e in known]
-                + [x for x in (*step.radices, *step.rates) if _scalar_ok(x)]
-            )
+            joint_family([x for x in (*known, *step.radices, *step.rates) if _scalar_ok(x)])
         except MixedFamilyError:
             out.append(Diagnostic(index, "step mixes discrete and triangular values"))
     return out

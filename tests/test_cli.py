@@ -18,6 +18,7 @@ from fuzzysns import (
     ParseError,
     Scenario,
     TransformOptions,
+    run,
     scenario_from_json,
     scenario_to_json,
 )
@@ -497,3 +498,67 @@ def test_huge_grade_exponent_exits_2_promptly(tmp_path, argv, data):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "exponent" in lines[0]
+
+
+# Every shipped scenario runs clean in every format and reads back from its
+# own serialization; stderr holds only the scenario's own warnings.
+_SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("path", _SCENARIOS, ids=lambda path: path.stem)
+def test_shipped_scenario_runs_and_round_trips(capsys, path, fmt):
+    scenario = scenario_from_json(path.read_text(encoding="utf-8"))
+    assert scenario_from_json(scenario_to_json(scenario)) == scenario
+    assert main(["eval", str(path), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    assert captured.err == "".join(f"warning: {w}\n" for w in run(scenario).warnings)
+
+
+_LINE = {"form": "L", "operands": ["a"], "images": ["b"], "radix": 3, "rates": [2]}
+
+
+def _document(entity=None, step=None, **top):
+    entity = {"id": "a", "value": 7, **(entity or {})}
+    doc = {"entities": [entity, {"id": "b", "value": 0}], "steps": [{**_LINE, **(step or {})}]}
+    return json.dumps({**doc, **top})
+
+
+@pytest.mark.parametrize(
+    "text, where, key",
+    [
+        (_document(stepz=[]), "scenario document", "stepz"),
+        (_document(entity={"knd": "crisp"}), "entities[0]", "knd"),
+        (_document(step={"rate": [2]}), "steps[0]", "rate"),
+        (_document(options={"remainder_mod": "extension"}), "options", "remainder_mod"),
+    ],
+    ids=["document", "entity", "step", "options"],
+)
+def test_unknown_key_exits_2_and_names_it(tmp_path, capsys, text, where, key):
+    assert main(["eval", write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["{1|0.5, 1|1}", [[1, "0.5"], [1, 1]], {"1": "0.5", "01": 1}],
+    ids=["literal", "pairs", "mapping"],
+)
+def test_duplicate_support_value_exits_2(tmp_path, capsys, value):
+    assert main(["eval", write(tmp_path, _document(entity={"value": value}))]) == 2
+    assert capsys.readouterr().err == "error: entities[0].value: duplicate support value 1\n"
+
+
+def test_carry_duplicate_support_value_exits_2(capsys):
+    assert main(["carry", "--family", "dfn", "{1|0.5, 1|1}", "{1|1}"]) == 2
+    assert capsys.readouterr().err == "error: duplicate support value 1\n"
+
+
+@pytest.mark.parametrize("clamp", [1, "yes", None])
+def test_non_boolean_clamp_option_exits_2(tmp_path, capsys, clamp):
+    text = _document(options={"clamp_negative": clamp})
+    assert main(["eval", write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("error: options: clamp_negative must be a boolean")

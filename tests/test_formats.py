@@ -1,3 +1,5 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from fuzzysns import (
     scenario_from_json,
     scenario_to_json,
 )
+from fuzzysns.formats import parse_discrete
 
 
 class TestFractionText:
@@ -180,3 +183,46 @@ class TestScenarioDocuments:
         """
         scenario = scenario_from_json(text)
         assert scenario.steps[0].radices == (tri(2, 3, 4),)
+
+
+def test_parse_discrete_rejects_duplicate_support_value():
+    with pytest.raises(ParseError, match="duplicate support value 1"):
+        parse_discrete("{1|0.5, 1|1}")
+
+
+def _line_document(value=7, radix=3, rates=(2,)):
+    step = {"form": "L", "operands": ["a"], "images": ["b"], "radix": radix, "rates": list(rates)}
+    entities = [{"id": "a", "value": value}, {"id": "b", "value": 0}]
+    return json.dumps({"entities": entities, "steps": [step]})
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_line_document(value="{1|0.5}"), "entities[0].value"),
+        (_line_document(radix="{2|0.5}"), "steps[0].radix"),
+        (_line_document(rates=["(3; 2; 1)"]), "steps[0].rates[0]"),
+        (_line_document(rates=["nope"]), "steps[0].rates[0]"),
+    ],
+    ids=["value", "radix", "rate", "rate-junk"],
+)
+def test_string_literal_errors_carry_their_location(text, where):
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: "):
+        scenario_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"steps": []}, "scenario document: missing 'entities'"),
+        ({"entities": [{"id": "a"}]}, "entities[0]: missing 'value'"),
+        ({"entities": [7]}, "entities[0] must be a JSON object"),
+        ({"entities": [], "steps": [{"form": "L"}]}, "steps[0]: missing 'operands'"),
+        ({"entities": [], "options": []}, "options must be a JSON object"),
+    ],
+    ids=["document", "entity", "entity-type", "step", "options-type"],
+)
+def test_key_table_names_the_record(doc, message):
+    with pytest.raises(ParseError) as excinfo:
+        scenario_from_json(json.dumps(doc))
+    assert str(excinfo.value) == message

@@ -454,3 +454,9 @@ OPERATOR_CONTRACT = [
 def test_operator_contract(check):
     """Behaviours every operator entry point keeps, whatever its family path."""
     check()
+
+
+@pytest.mark.parametrize("clamp", ["yes", 1, None])
+def test_options_refuse_non_boolean_clamp(clamp):
+    with pytest.raises(OperatorSpecError, match="clamp_negative must be a boolean"):
+        TransformOptions(clamp_negative=clamp)

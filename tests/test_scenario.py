@@ -69,6 +69,14 @@ class TestValidate:
         ]
 
 
+    @pytest.mark.parametrize("cardinal", [1.5, True])
+    def test_non_scalar_cardinal_reported_not_raised(self, cardinal):
+        s = Scenario({"a": cardinal, "b": 0}, [line_step("a", "b", 3, 2)])
+        assert [d.message for d in validate(s)] == ["entity 'a' has an invalid cardinal"]
+        with pytest.raises(ScenarioValidationError):
+            run(s)
+
+
 class TestRun:
     def test_single_line_step(self):
         s = Scenario({"i": 7, "j": 10}, [line_step("i", "j", 3, 2)])
