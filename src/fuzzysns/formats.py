@@ -4,8 +4,9 @@ Literal syntax: crisp values print as bare integers, triangular triples as
 "(lower; mode; upper)", discrete numbers as "{value|grade, ...}" sorted by
 support value.  Grades print as exact decimals when the denominator allows it
 and as "p/q" otherwise, so every printed literal re-parses to an identical
-value.  Scenario files are JSON documents; floats inside them are read as
-exact fractions, never binary floats.  Each record (document, entity, step,
+value.  Integer text is an optional sign and ASCII digits, :func:`_int_from_text`.
+Scenario files are JSON documents; floats inside them are read as exact
+fractions, never binary floats.  Each record (document, entity, step,
 options) is read against one key table, :func:`_record`.  Option keys and
 defaults come from :class:`TransformOptions`; every discrete value reaches
 :class:`DiscreteFuzzyNumber` as pairs, which alone rules on duplicates.
@@ -14,6 +15,7 @@ defaults come from :class:`TransformOptions`; every discrete value reaches
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Any, Callable
@@ -24,6 +26,7 @@ from .numbers import (
     FuzzyScalar,
     TriangularFuzzyNumber,
     _fraction_from_text,
+    _grade_text,
     _is_int,
     family,
     format_fraction,
@@ -39,6 +42,18 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a number: {text!r}") from exc
+
+
+# Integer text: an optional sign and ASCII digits, whitespace around.  ``int``
+# alone would also read underscores ("6_0") and non-ASCII digits ("٦").
+_INTEGER = re.compile(r"\s*[-+]?[0-9]+\s*")
+
+
+def _int_from_text(text: str) -> int:
+    """The one integer-text rule; any other text is a ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def format_scalar(value: FuzzyScalar) -> str:
@@ -62,7 +77,7 @@ def parse_triangular(text: str) -> TriangularFuzzyNumber:
     if len(parts) != 3:
         raise ParseError(f"triangular literal needs three components: {text!r}")
     try:
-        lower, mode, upper = (int(p.strip()) for p in parts)
+        lower, mode, upper = (_int_from_text(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"triangular components must be integers: {text!r}") from exc
     return _build(None, TriangularFuzzyNumber, lower, mode, upper)
@@ -81,7 +96,7 @@ def parse_discrete(text: str) -> DiscreteFuzzyNumber:
         if not sep:
             raise ParseError(f"discrete entry needs value|grade: {chunk!r}")
         try:
-            value = int(value_text.strip())
+            value = _int_from_text(value_text)
         except ValueError as exc:
             raise ParseError(f"support value must be an integer: {chunk!r}") from exc
         points.append((value, parse_fraction(grade_text)))
@@ -96,7 +111,7 @@ def parse_scalar(text: str) -> FuzzyScalar:
     if body.startswith("{"):
         return parse_discrete(body)
     try:
-        return int(body)
+        return _int_from_text(body)
     except ValueError as exc:
         raise ParseError(f"not a fuzzy-number literal: {text!r}") from exc
 
@@ -107,7 +122,7 @@ def _scalar_to_json(value: FuzzyScalar) -> Any:
     if isinstance(value, TriangularFuzzyNumber):
         return [value.lower, value.mode, value.upper]
     if isinstance(value, DiscreteFuzzyNumber):
-        return [[v, format_fraction(g)] for v, g in value.points]
+        return [[v, _grade_text(g)] for v, g in value.points]
     return value
 
 
@@ -128,7 +143,7 @@ def _scalar_from_json(node: Any, where: str) -> FuzzyScalar:
 
 def _support_key(key: str, where: str) -> int:
     try:
-        return int(key)
+        return _int_from_text(key)
     except ValueError as exc:
         raise ParseError(f"{where}: support key {key!r} is not an integer") from exc
 
@@ -176,10 +191,9 @@ def _step_from_json(node: Any, index: int) -> OperatorSpec:
         radices = [
             _scalar_from_json(x, f"{where}.radix[{k}]") for k, x in enumerate(raw_radix)
         ]
-    raw_rates = node["rates"]
-    if not isinstance(raw_rates, list):
-        raw_rates = [raw_rates]
-    rates = [_scalar_from_json(x, f"{where}.rates[{k}]") for k, x in enumerate(raw_rates)]
+    if not isinstance(node["rates"], list):
+        raise ParseError(f"{where}: 'rates' must be a list")
+    rates = [_scalar_from_json(x, f"{where}.rates[{k}]") for k, x in enumerate(node["rates"])]
     return OperatorSpec(form, node["operands"], node["images"], radices, rates)
 
 

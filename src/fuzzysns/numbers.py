@@ -5,11 +5,15 @@ integer triple (lower; mode; upper), and discrete fuzzy numbers, stored as a
 finite map from integer support values to membership grades.  Grades are exact
 ``fractions.Fraction`` values in (0, 1] so that equality checks and round-trips
 never suffer binary-float drift.  A plain ``int`` plays the role of a crisp
-value; ``FuzzyScalar`` is the union of the three.
+value; ``FuzzyScalar`` is the union of the three.  The sup-min kernel builds
+its result without validating it again: every grade it writes is an operand's
+grade, its result is a dict keyed by value, and the pair of the two operands'
+modes has grade 1, so only the support values ``op`` returned are checked.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from bisect import bisect_left
@@ -97,6 +101,10 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+# Grade literals, each factored once: a run prints few distinct grades many times.
+_grade_text = functools.lru_cache(maxsize=1024)(format_fraction)
+
+
 @dataclass(frozen=True)
 class TriangularFuzzyNumber:
     """Integer triple (lower; mode; upper) with piecewise-linear membership.
@@ -152,6 +160,20 @@ class DiscreteFuzzyNumber:
             raise DomainError("discrete fuzzy number must be normal (some grade == 1)")
         object.__setattr__(self, "points", tuple(sorted(seen.items())))
 
+    @classmethod
+    def _trusted(cls, out: dict[int, Fraction]) -> DiscreteFuzzyNumber:
+        """The sup-min kernel's result, checking only its support values.
+
+        Grades, distinctness and normality hold by construction (see the
+        module docstring).  The values are checked because ``op`` is any
+        callable and can return a float or a bool.
+        """
+        for value in out:
+            _as_int(value, "support value")
+        number = object.__new__(cls)
+        object.__setattr__(number, "points", tuple(sorted(out.items())))
+        return number
+
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.points)
@@ -173,7 +195,7 @@ class DiscreteFuzzyNumber:
         return Fraction(0)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{v}|{format_fraction(g)}" for v, g in self.points) + "}"
+        return "{" + ", ".join(f"{v}|{_grade_text(g)}" for v, g in self.points) + "}"
 
 
 FuzzyScalar = Union[int, DiscreteFuzzyNumber, TriangularFuzzyNumber]
@@ -353,7 +375,7 @@ def dfn_zadeh_binary(
             for x in seen_a:
                 put(op(x, y), g)
         seen_b += new_b
-    return DiscreteFuzzyNumber(out)
+    return DiscreteFuzzyNumber._trusted(out)
 
 
 def dfn_floor_div(

@@ -562,3 +562,46 @@ def test_non_boolean_clamp_option_exits_2(tmp_path, capsys, clamp):
     text = _document(options={"clamp_negative": clamp})
     assert main(["eval", write(tmp_path, text)]) == 2
     assert capsys.readouterr().err.startswith("error: options: clamp_negative must be a boolean")
+
+
+# Integer text is an optional sign and ASCII digits: ``int`` alone would read
+# "6_0" as 60 and the Arabic-Indic "٦" as 6.
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("{6_0|1}", "support value must be an integer: '6_0|1'"),
+        ("{٦|1}", "support value must be an integer: '٦|1'"),
+        ({"6_0": 1}, "support key '6_0' is not an integer"),
+        ({"٦": 1}, "support key '٦' is not an integer"),
+        ("( 1_0 ; 2_0; 30 )", "triangular components must be integers: '( 1_0 ; 2_0; 30 )'"),
+        ("6_0", "not a fuzzy-number literal: '6_0'"),
+        ("1 0", "not a fuzzy-number literal: '1 0'"),
+    ],
+    ids=["literal-underscore", "literal-arabic-indic", "key-underscore", "key-arabic-indic",
+         "triangular-underscore", "crisp-underscore", "crisp-inner-space"],
+)
+def test_non_ascii_integer_text_exits_2(tmp_path, capsys, value, message):
+    assert main(["eval", write(tmp_path, _document(entity={"value": value}))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: entities[0].value: {message}\n"
+
+
+@pytest.mark.parametrize("literal", ["{6_0|1}", "{٦|1}"])
+def test_carry_non_ascii_integer_text_exits_2(capsys, literal):
+    assert main(["carry", "--family", "dfn", literal]) == 2
+    assert capsys.readouterr().err == f"error: support value must be an integer: '{literal[1:-1]}'\n"
+
+
+@needs_digit_limit
+def test_integer_text_beyond_the_digit_limit_exits_2(tmp_path, capsys):
+    assert main(["eval", write(tmp_path, _document(entity={"value": "9" * 4301}))]) == 2
+    assert capsys.readouterr().err.startswith("error: entities[0].value: not a fuzzy-number literal")
+
+
+@pytest.mark.parametrize("rates", [2, "2", {"2": 1}], ids=["int", "string", "object"])
+def test_rates_must_be_a_list(tmp_path, capsys, rates):
+    assert main(["eval", write(tmp_path, _document(step={"rates": rates}))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steps[0]: 'rates' must be a list\n"

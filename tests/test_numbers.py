@@ -16,6 +16,7 @@ from fuzzysns import (
     dfn_floor_div,
     dfn_mod,
     dfn_zadeh_binary,
+    format_fraction,
     lift_discrete,
     lift_triangular,
     tfn_add,
@@ -26,6 +27,7 @@ from fuzzysns import (
     tfn_sub,
     zadeh_oracle,
 )
+from fuzzysns.numbers import _grade_text
 
 
 @st.composite
@@ -368,3 +370,72 @@ def test_lift_and_collapse_round_trip():
     assert crisp_value(lift_discrete(9)) == 9
     assert crisp_value(tri(1, 2, 3)) is None
     assert crisp_value(dfn({1: 1, 2: "0.5"})) is None
+
+
+# The kernel builds its result without re-validation (``_trusted``); it must be
+# the number the validating constructor builds from the same points.
+_TRUSTED_OPS = [operator.add, operator.sub, operator.mul, max]
+
+
+def _assert_validated_equal(result):
+    rebuilt = DiscreteFuzzyNumber(list(result.points))
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+    values = [v for v, _ in result.points]
+    assert all(x < y for x, y in zip(values, values[1:]))
+    assert all(isinstance(g, Fraction) and 0 < g <= 1 for _, g in result.points)
+    assert any(g == 1 for _, g in result.points)
+
+
+class TestTrustedKernelResult:
+    @given(a=discretes(low=-30), b=discretes(low=-30), op=st.sampled_from(_TRUSTED_OPS))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_validated_construction(self, a, b, op):
+        _assert_validated_equal(dfn_zadeh_binary(op, a, b))
+
+    @given(a=discretes(), n=discretes(low=1, high=12),
+           op=st.sampled_from([operator.floordiv, operator.mod]))
+    @settings(max_examples=200, deadline=None)
+    def test_div_mod_equal_validated_construction(self, a, n, op):
+        _assert_validated_equal(dfn_zadeh_binary(op, a, n))
+
+    @pytest.mark.parametrize("op", [operator.truediv, operator.lt], ids=["truediv", "lt"])
+    def test_non_integer_op_result_is_a_domain_error(self, op):
+        with pytest.raises(DomainError, match="support value must be an integer"):
+            dfn_zadeh_binary(op, dfn({1: 1, 4: "0.5"}), dfn({2: 1}))
+
+
+def _denominators():
+    smooth = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 6), st.integers(0, 6))
+    return smooth | st.integers(1, 10**6)
+
+
+@st.composite
+def graded_discretes(draw):
+    values = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
+    grades = {}
+    for v in values:
+        q = draw(_denominators())
+        grades[v] = Fraction(draw(st.integers(1, q)), q)
+    grades[draw(st.sampled_from(values))] = Fraction(1)
+    return DiscreteFuzzyNumber(grades)
+
+
+class TestGradeLiterals:
+    @given(graded_discretes())
+    @settings(max_examples=200, deadline=None)
+    def test_str_is_the_format_fraction_literal(self, number):
+        expected = ", ".join(f"{v}|{format_fraction(g)}" for v, g in number.points)
+        assert str(number) == "{" + expected + "}"
+
+    def test_cache_stays_within_its_bound(self):
+        for k in range(1, 5001):
+            str(DiscreteFuzzyNumber({0: 1, 1: Fraction(k, 10007)}))
+        info = _grade_text.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize(
+        "value, text", [(Fraction(1, 3), "1/3"), (Fraction(5, 8), "0.625"), (7, "7"), (-3, "-3")]
+    )
+    def test_format_fraction_is_unchanged_and_uncached(self, value, text):
+        assert format_fraction(value) == text
+        assert not hasattr(format_fraction, "cache_info")
