@@ -36,12 +36,19 @@ from .scenario import Form, OperatorSpec, Scenario
 
 
 def parse_fraction(text: str) -> Fraction:
+    """Grade text: what ``Fraction`` reads, in ASCII and without underscores.
+
+    The exponent bound comes first, so an oversized exponent is named as such.
+    """
     try:
-        return _fraction_from_text(text)
+        value = _fraction_from_text(text)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a number: {text!r}") from exc
+    if not text.isascii() or "_" in text:
+        raise ParseError(f"not a number: {text!r}")
+    return value
 
 
 # Integer text: an optional sign and ASCII digits, whitespace around.  ``int``
@@ -137,7 +144,10 @@ def _scalar_from_json(node: Any, where: str) -> FuzzyScalar:
         if len(node) == 3 and all(_is_int(x) for x in node):
             return _build(where, TriangularFuzzyNumber, *node)
         if all(isinstance(x, list) and len(x) == 2 for x in node):
-            return _build(where, DiscreteFuzzyNumber, node)
+            points = [
+                (v, _build(where, parse_fraction, g) if isinstance(g, str) else g) for v, g in node
+            ]
+            return _build(where, DiscreteFuzzyNumber, points)
     raise ParseError(f"{where}: cannot read fuzzy scalar from {node!r}")
 
 

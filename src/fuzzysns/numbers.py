@@ -216,21 +216,23 @@ def family(value: FuzzyScalar) -> str:
     return CRISP
 
 
+def _join_families(tags: Iterable[str]) -> str:
+    """The one mixing rule over family tags: crisp joins either fuzzy family."""
+    joint = CRISP
+    for tag in tags:
+        if joint == CRISP:
+            joint = tag
+        elif tag not in (CRISP, joint):
+            raise MixedFamilyError("cannot mix discrete and triangular values in one operation")
+    return joint
+
+
 def joint_family(values: Iterable[FuzzyScalar]) -> str:
     """Family shared by a group of scalars; crisp mixes with either fuzzy kind.
 
     Raises MixedFamilyError when discrete and triangular values are combined.
     """
-    joint = CRISP
-    for value in values:
-        fam = family(value)
-        if fam == CRISP:
-            continue
-        if joint == CRISP:
-            joint = fam
-        elif joint != fam:
-            raise MixedFamilyError("cannot mix discrete and triangular values in one operation")
-    return joint
+    return _join_families(map(family, values))
 
 
 def lift_triangular(value: FuzzyScalar) -> TriangularFuzzyNumber:

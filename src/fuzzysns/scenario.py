@@ -9,6 +9,9 @@ single-pass and strictly sequential; remainders do not feed back into the
 same step, and entities a step does not name are untouched by it.  Steps are
 :class:`OperatorSpec` records; the valence of each :class:`Form`
 (:func:`valence_matches`) is a scenario rule, as the operators accept any W, V >= 1.
+:func:`validate` checks a whole scenario in one pass before anything runs.
+It follows each entity's family through the steps, so a step that would mix
+discrete and triangular values is refused up front, not part-way through.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
     ScenarioValidationError,
     StepExecutionError,
 )
-from .numbers import FuzzyScalar, _check_natural, _check_radix, family, joint_family
+from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, family
 from .operators import TransformOptions, TransformResult, apply_D, apply_F, apply_L, apply_M
 
 Multeity = dict[str, FuzzyScalar]
@@ -131,70 +135,62 @@ class Trace:
     warnings: tuple[str, ...]
 
 
-def _scalar_ok(value) -> bool:
-    try:
-        family(value)
-    except FuzzySnsError:
-        return False
-    return True
-
-
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All reasons the scenario cannot run; empty list means runnable.
 
-    Family-mix checks use the initial cardinals and skip any value (or unknown
-    entity) that is not a fuzzy scalar, which is reported on its own; a step
-    can still fail at run time if an earlier step moved an entity into a
-    conflicting family.
+    One pass classifies each initial cardinal, radix and rate once.  A step
+    moves its known entities into its joint family, as ``run`` writes them,
+    so a mix that an earlier step makes is reported before any step runs.  A
+    value that is not a fuzzy scalar is reported on its own, not as a mix.
     """
     out: list[Diagnostic] = []
+    families: dict[str, Optional[str]] = {}
     for entity_id, cardinal in scenario.initial.items():
         if not isinstance(entity_id, str) or not entity_id:
             out.append(Diagnostic(None, f"entity id {entity_id!r} must be a nonempty string"))
-        if not _scalar_ok(cardinal):
+        try:
+            families[entity_id] = family(cardinal)
+        except DomainError:
+            families[entity_id] = None
             out.append(Diagnostic(None, f"entity {entity_id!r} has an invalid cardinal"))
     for index, step in enumerate(scenario.steps):
         w, v = len(step.operands), len(step.images)
         if not valence_matches(step.form, w, v):
-            out.append(
-                Diagnostic(index, f"form {step.form.value} cannot take valence ({w}, {v})")
-            )
+            out.append(Diagnostic(index, f"form {step.form.value} cannot take valence ({w}, {v})"))
         if len(step.radices) != w:
             out.append(Diagnostic(index, f"{len(step.radices)} radices for {w} operands"))
         if len(step.rates) != v:
             out.append(Diagnostic(index, f"{len(step.rates)} rates for {v} images"))
-        for entity_id in (*step.operands, *step.images):
-            if entity_id not in scenario.initial:
+        entities = (*step.operands, *step.images)
+        for entity_id in entities:
+            if entity_id not in families:
                 out.append(Diagnostic(index, f"unknown entity '{entity_id}'"))
         overlap = set(step.operands) & set(step.images)
         if overlap:
-            out.append(
-                Diagnostic(index, f"operand and image entities overlap: {sorted(overlap)}")
-            )
+            out.append(Diagnostic(index, f"operand and image entities overlap: {sorted(overlap)}"))
         for role, ids in (("operand", step.operands), ("image", step.images)):
-            repeated = sorted(e for e, n in Counter(ids).items() if n > 1)
-            if repeated:
-                out.append(
-                    Diagnostic(index, f"{role} entities listed more than once: {repeated}")
-                )
-        for radix in step.radices:
+            if len(set(ids)) < len(ids):
+                repeated = sorted(e for e, n in Counter(ids).items() if n > 1)
+                out.append(Diagnostic(index, f"{role} entities listed more than once: {repeated}"))
+        tags = [families.get(e) for e in entities]
+        rules = [("radix", n, _check_radix) for n in step.radices]
+        rules += [("rate", r, partial(_check_natural, what="conversion rate")) for r in step.rates]
+        for what, value, rule in rules:
             try:
-                _check_radix(radix)
-            except InvalidRadixError:
-                out.append(Diagnostic(index, f"invalid radix {radix}"))
+                tags.append(family(value))
             except DomainError:
-                out.append(Diagnostic(index, f"radix {radix!r} is not a fuzzy scalar"))
-        for rate in step.rates:
+                out.append(Diagnostic(index, f"{what} {value!r} is not a fuzzy scalar"))
+                continue
             try:
-                _check_natural(rate, "conversion rate")
-            except DomainError as exc:
-                message = str(exc) if _scalar_ok(rate) else f"rate {rate!r} is not a fuzzy scalar"
-                out.append(Diagnostic(index, message))
-        known = [scenario.initial.get(e) for e in (*step.operands, *step.images)]
+                rule(value)
+            except (DomainError, InvalidRadixError) as exc:
+                out.append(Diagnostic(index, str(exc)))
         try:
-            joint_family([x for x in (*known, *step.radices, *step.rates) if _scalar_ok(x)])
+            joint = _join_families(filter(None, tags))
         except MixedFamilyError:
             out.append(Diagnostic(index, "step mixes discrete and triangular values"))
+        else:
+            families.update((e, joint) for e in entities if e in families)
     return out
 
 

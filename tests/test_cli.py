@@ -605,3 +605,50 @@ def test_rates_must_be_a_list(tmp_path, capsys, rates):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: steps[0]: 'rates' must be a list\n"
+
+
+# Grade text is ASCII too: "١/٢", "1_0/2_0" and "0.5_0" used to read as 1/2.
+_BAD_GRADES = ["١/٢", "1_0/2_0", "0.5_0"]
+
+
+@pytest.mark.parametrize("grade", _BAD_GRADES)
+@pytest.mark.parametrize("form", ["literal", "pairs", "mapping"])
+def test_non_ascii_grade_text_exits_2(tmp_path, capsys, form, grade):
+    value = {
+        "literal": f"{{6|{grade}, 7|1}}",
+        "pairs": [[6, grade], [7, 1]],
+        "mapping": {"6": grade, "7": 1},
+    }[form]
+    assert main(["eval", write(tmp_path, _document(entity={"value": value}))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: entities[0].value: not a number: {grade!r}\n"
+
+
+@pytest.mark.parametrize("grade", _BAD_GRADES)
+def test_carry_non_ascii_grade_text_exits_2(capsys, grade):
+    assert main(["carry", "--family", "dfn", f"{{6|{grade}, 7|1}}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a number: {grade!r}\n"
+
+
+def test_family_conflict_made_by_an_earlier_step_is_invalid_before_any_step_runs(
+    tmp_path, capsys
+):
+    # Step 0 makes "b" triangular; step 1 then meets it with a discrete "c".
+    doc = {
+        "entities": [
+            {"id": "a", "value": [1, 2, 3]},
+            {"id": "b", "value": 0},
+            {"id": "c", "value": "{1|1}"},
+        ],
+        "steps": [
+            {**_LINE, "operands": ["a"], "images": ["b"], "radix": 1, "rates": [1]},
+            {**_LINE, "operands": ["c"], "images": ["b"], "radix": 1, "rates": [1]},
+        ],
+    }
+    assert main(["eval", write(tmp_path, json.dumps(doc))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: step 1: step mixes discrete and triangular values\n"

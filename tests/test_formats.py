@@ -47,6 +47,20 @@ class TestFractionText:
         with pytest.raises(ParseError):
             parse_fraction("one half")
 
+    # Grade text is ASCII: ``Fraction`` alone reads "١/٢" and "1_0/2_0" as 1/2.
+    @pytest.mark.parametrize("text", ["١/٢", "1_0/2_0", "0.5_0"])
+    def test_parse_rejects_non_ascii_and_underscores(self, text):
+        with pytest.raises(ParseError, match=re.escape(f"not a number: {text!r}")):
+            parse_fraction(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1/3", Fraction(1, 3)), (".5", Fraction(1, 2)), ("5.", Fraction(5)),
+         ("1e-3", Fraction(1, 1000)), (" 0.25 ", Fraction(1, 4))],
+    )
+    def test_parse_reads_plain_decimal_forms(self, text, value):
+        assert parse_fraction(text) == value
+
 
 class TestScalarLiterals:
     def test_triangular(self):

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import dfn, tri
 from fuzzysns import (
+    Diagnostic,
     Form,
+    MixedFamilyError,
     OperatorSpec,
     Scenario,
     ScenarioValidationError,
@@ -67,6 +69,42 @@ class TestValidate:
         assert [d.message for d in validate(s)] == [
             f"conversion rate must be >= 0, got {rate}"
         ]
+
+    def test_every_fault_of_one_step_in_order(self):
+        step = OperatorSpec(
+            Form.L, ("a", "a", "X"), ("a", "t", "t"), (0, 1.5), (-1, "2"),
+        )
+        s = Scenario({"a": dfn({1: 1}), "t": tri(1, 2, 3)}, [step])
+        assert validate(s) == [Diagnostic(0, message) for message in (
+            "form L cannot take valence (3, 3)",
+            "2 radices for 3 operands",
+            "2 rates for 3 images",
+            "unknown entity 'X'",
+            "operand and image entities overlap: ['a']",
+            "operand entities listed more than once: ['a']",
+            "image entities listed more than once: ['t']",
+            "radix must be >= 1, got 0",
+            "radix 1.5 is not a fuzzy scalar",
+            "conversion rate must be >= 0, got -1",
+            "rate '2' is not a fuzzy scalar",
+            "step mixes discrete and triangular values",
+        )]
+
+    def test_family_follows_the_writes(self):
+        # Step 0 makes the crisp "b" triangular; step 1 then meets it with a discrete "c".
+        s = Scenario(
+            {"a": tri(1, 2, 3), "b": 0, "c": dfn({1: 1})},
+            [line_step("a", "b", 1, 1), line_step("c", "b", 1, 1)],
+        )
+        assert validate(s) == [Diagnostic(1, "step mixes discrete and triangular values")]
+
+    def test_crisp_joint_family_moves_nothing(self):
+        # "a" meets "b" before "b" turns discrete; "a" stays crisp and may meet "d".
+        s = Scenario(
+            {"a": 5, "b": 0, "c": dfn({1: 1}), "d": tri(1, 2, 3)},
+            [line_step("a", "b", 2, 1), line_step("c", "b", 1, 1), line_step("a", "d", 1, 1)],
+        )
+        assert validate(s) == []
 
 
     @pytest.mark.parametrize("cardinal", [1.5, True])
@@ -231,3 +269,35 @@ class TestTraceStates:
             tracemalloc.stop()
         assert len(trace.steps) == count - 1
         assert peak < 10 * 1024 * 1024
+
+
+def _three_family_scenario(seed):
+    """Crisp, discrete and triangular entities; steps may turn a crisp one fuzzy."""
+    rng = random.Random(f"family-flow-{seed}")
+    families = ["crisp"] * 6 + ["discrete"] * 2 + ["triangular"] * 2
+    initial = {f"e{k}": _random_value(rng, family, 0) for k, family in enumerate(families)}
+    steps = []
+    for _ in range(rng.randint(2, 4)):
+        form = rng.choice(list(Form))
+        w = 1 if form in (Form.L, Form.D) else 2
+        v = 1 if form in (Form.L, Form.F) else 2
+        picked = rng.sample(sorted(initial), w + v)
+        radices = [rng.randint(1, 3) for _ in range(w)]
+        rates = [rng.randint(0, 2) for _ in range(v)]
+        steps.append(OperatorSpec(form, picked[:w], picked[w:], radices, rates))
+    return Scenario(initial, steps, TransformOptions(clamp_negative=True))
+
+
+class TestFamilyFlow:
+    def test_clean_validation_means_no_family_mix_at_run_time(self):
+        clean = 0
+        for seed in range(300):
+            scenario = _three_family_scenario(seed)
+            if validate(scenario):
+                continue
+            clean += 1
+            try:
+                run(scenario)
+            except StepExecutionError as exc:
+                assert not isinstance(exc.cause, MixedFamilyError), (seed, exc)
+        assert clean >= 50
