@@ -129,7 +129,7 @@ def _scalar_to_json(value: FuzzyScalar) -> Any:
     if isinstance(value, TriangularFuzzyNumber):
         return [value.lower, value.mode, value.upper]
     if isinstance(value, DiscreteFuzzyNumber):
-        return [[v, _grade_text(g)] for v, g in value.points]
+        return [[v, _grade_text(g.as_integer_ratio())] for v, g in value.points]
     return value
 
 

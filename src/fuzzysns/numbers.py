@@ -5,10 +5,17 @@ integer triple (lower; mode; upper), and discrete fuzzy numbers, stored as a
 finite map from integer support values to membership grades.  Grades are exact
 ``fractions.Fraction`` values in (0, 1] so that equality checks and round-trips
 never suffer binary-float drift.  A plain ``int`` plays the role of a crisp
-value; ``FuzzyScalar`` is the union of the three.  The sup-min kernel builds
-its result without validating it again: every grade it writes is an operand's
+value; ``FuzzyScalar`` is the union of the three.
+
+The sup-min kernel has two sides.  ``+`` and ``-`` whose result hull is no
+wider than the pair count sum the operands' alpha-cuts as ``int`` bitsets and
+never call ``op``; every other ``op``, and a sum over sparse, wide supports,
+call ``op`` exactly once per support pair.  Either way the kernel builds its
+result without validating it again: every grade it writes is an operand's
 grade, its result is a dict keyed by value, and the pair of the two operands'
-modes has grade 1, so only the support values ``op`` returned are checked.
+modes has grade 1, so only the support values are checked.  No grade is
+hashed on the way: grade levels and grade literals are keyed by the grade's
+``as_integer_ratio()``.
 """
 
 from __future__ import annotations
@@ -101,8 +108,14 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-# Grade literals, each factored once: a run prints few distinct grades many times.
-_grade_text = functools.lru_cache(maxsize=1024)(format_fraction)
+@functools.lru_cache(maxsize=1024)
+def _grade_text(ratio: tuple[int, int]) -> str:
+    """The literal of the grade ``Fraction(*ratio)``, formatted once per grade.
+
+    A run prints few distinct grades many times.  The key is the grade's
+    ``as_integer_ratio()``, a tuple of ints, so no ``Fraction`` is hashed.
+    """
+    return format_fraction(Fraction(*ratio))
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,8 @@ class DiscreteFuzzyNumber:
         return Fraction(0)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{v}|{_grade_text(g)}" for v, g in self.points) + "}"
+        literals = (f"{v}|{_grade_text(g.as_integer_ratio())}" for v, g in self.points)
+        return "{" + ", ".join(literals) + "}"
 
 
 FuzzyScalar = Union[int, DiscreteFuzzyNumber, TriangularFuzzyNumber]
@@ -337,6 +351,60 @@ def tfn_floor_div(num: TriangularFuzzyNumber, div: TriangularFuzzyNumber) -> Tri
 
 # --- discrete arithmetic ---------------------------------------------------
 
+def _grade_levels(a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber) -> list:
+    """(grade, new ``a`` values, new ``b`` values) per distinct grade, highest first.
+
+    Grades are bucketed by ``as_integer_ratio()``: a tuple of ints hashes in
+    C, and a Fraction is always reduced, so equal grades share a key.
+    """
+    buckets: dict[tuple[int, int], tuple[Fraction, list[int], list[int]]] = {}
+    for side, number in ((1, a), (2, b)):
+        for v, g in number.points:
+            key = g.as_integer_ratio()
+            level = buckets.get(key)
+            if level is None:
+                level = buckets[key] = (g, [], [])
+            level[side].append(v)
+    return sorted(buckets.values(), key=operator.itemgetter(0), reverse=True)
+
+
+def _cut_sums(
+    levels: list, a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber, subtract: bool
+) -> DiscreteFuzzyNumber:
+    """``a + b`` (``a - b`` if ``subtract``) over ``levels``, by alpha-cut bitsets.
+
+    The alpha-cut of a sum at grade g is the Minkowski sum of the operands'
+    cuts at g.  Each cut is an ``int`` with bit k set for the value
+    ``low + k``, ``b``'s values negated under subtraction; a level ORs the
+    cuts shifted by its new points, and the bits no higher level reached
+    take its grade.
+    """
+    sign = -1 if subtract else 1
+    a_low = a.points[0][0]
+    b_low = -b.points[-1][0] if subtract else b.points[0][0]
+    base = a_low + b_low
+    cut_a = cut_b = reached = 0
+    out: dict[int, Fraction] = {}
+    for g, new_a, new_b in levels:
+        step = 0
+        for x in new_a:
+            shift = x - a_low
+            step |= cut_b << shift
+            cut_a |= 1 << shift
+        for y in new_b:
+            shift = sign * y - b_low
+            cut_b |= 1 << shift
+            step |= cut_a << shift
+        fresh = step & ~reached
+        reached |= fresh
+        bits = bin(fresh)[:1:-1]  # bit k at index k
+        k = bits.find("1")
+        while k >= 0:
+            out[base + k] = g
+            k = bits.find("1", k + 1)
+    return DiscreteFuzzyNumber._trusted(out)
+
+
 def dfn_zadeh_binary(
     op: Callable[[int, int], int],
     a: DiscreteFuzzyNumber,
@@ -353,22 +421,28 @@ def dfn_zadeh_binary(
     paired with the ``b`` values seen so far, then the new ``b`` values with
     the ``a`` values seen so far, this level's included.  The level's grade is
     then each new pair's min, and the first grade written for a result value
-    is its sup.  ``op`` is called exactly once per support pair, always as
-    ``op(x, y)`` with ``x`` from ``a``; only the distinct grades are compared.
+    is its sup.  Only the distinct grades are compared.
+
+    When ``op`` is ``operator.add`` or ``operator.sub`` and the result's hull
+    is no wider than the pair count, ``(max a - min a) + (max b - min b) + 1
+    <= |a|*|b|``, the levels are summed as alpha-cut bitsets
+    (:func:`_cut_sums`) and ``op`` is never called.  Otherwise ``op`` is
+    called exactly once per support pair, always as ``op(x, y)`` with ``x``
+    from ``a``.  The choice rests on ``op``'s identity and the operands alone.
     """
     for number in (a, b):
         if lift_discrete(number) is not number:  # a triangular one raises MixedFamilyError
             raise DomainError(f"sup-min extension needs discrete fuzzy numbers, got {number!r}")
-    levels: dict[Fraction, tuple[list[int], list[int]]] = {}
-    for side, number in enumerate((a, b)):
-        for v, g in number.points:
-            levels.setdefault(g, ([], []))[side].append(v)
+    levels = _grade_levels(a, b)
+    if op is operator.add or op is operator.sub:
+        width = (a.points[-1][0] - a.points[0][0]) + (b.points[-1][0] - b.points[0][0]) + 1
+        if width <= len(a.points) * len(b.points):
+            return _cut_sums(levels, a, b, op is operator.sub)
     seen_a: list[int] = []
     seen_b: list[int] = []
     out: dict[int, Fraction] = {}
     put = out.setdefault
-    for g in sorted(levels, reverse=True):
-        new_a, new_b = levels[g]
+    for g, new_a, new_b in levels:
         for x in new_a:
             for y in seen_b:
                 put(op(x, y), g)

@@ -1,16 +1,22 @@
+import json
 import operator
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import discretes, dfn, radix_triangles, tri, triangles
 from fuzzysns import (
     DiscreteFuzzyNumber,
     DomainError,
+    Form,
     InvalidRadixError,
     MixedFamilyError,
+    OperatorSpec,
+    Scenario,
     as_grade,
     crisp_value,
     dfn_floor_div,
@@ -19,6 +25,7 @@ from fuzzysns import (
     format_fraction,
     lift_discrete,
     lift_triangular,
+    scenario_to_json,
     tfn_add,
     tfn_floor_div,
     tfn_membership,
@@ -27,7 +34,8 @@ from fuzzysns import (
     tfn_sub,
     zadeh_oracle,
 )
-from fuzzysns.numbers import _grade_text
+from fuzzysns import numbers
+from fuzzysns.numbers import _cut_sums, _grade_levels, _grade_text
 
 
 @st.composite
@@ -439,3 +447,118 @@ class TestGradeLiterals:
     def test_format_fraction_is_unchanged_and_uncached(self, value, text):
         assert format_fraction(value) == text
         assert not hasattr(format_fraction, "cache_info")
+
+
+# --- the two sides of the sup-min kernel ---------------------------------------
+
+_SUMS = [operator.add, operator.sub]
+
+# Contiguous supports: the hull of their sum is never wider than the pair count.
+contiguous_discretes = tied_discretes().map(
+    lambda n: DiscreteFuzzyNumber([(k - 20, g) for k, (_, g) in enumerate(n.points)])
+)
+# Two or more values 10**6 apart: the hull of a sum is wider than any pair count.
+spread_discretes = tied_discretes().filter(lambda n: len(n.points) > 1).map(
+    lambda n: DiscreteFuzzyNumber([(v * 10**6, g) for v, g in n.points])
+)
+
+
+def _kernel_path(op, a, b):
+    """(result, whether the bitset helper ran) of one public kernel call."""
+    with mock.patch.object(numbers, "_cut_sums", wraps=numbers._cut_sums) as spy:
+        result = dfn_zadeh_binary(op, a, b)
+    return result, spy.call_count == 1
+
+
+class TestAlphaCutSums:
+    @given(a=tied_discretes(low=-40), b=tied_discretes(low=-40), op=st.sampled_from(_SUMS))
+    @example(a=dfn({-3: 1}), b=dfn({-7: 1}), op=operator.sub)
+    @example(a=dfn({-3: 1}), b=dfn({-40: "1/3", 2: 1, 40: "2/6"}), op=operator.add)
+    @example(
+        a=dfn({-40: Fraction(1, 2), -1: 1, 6: Fraction(3, 6), 9: "0.5"}),
+        b=dfn({-2: Fraction(5, 10), 0: 1, 40: Fraction(1, 3)}),
+        op=operator.sub,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_helper_matches_oracle(self, a, b, op):
+        result = _cut_sums(_grade_levels(a, b), a, b, op is operator.sub)
+        assert result == zadeh_oracle(op, a, b)
+        _assert_validated_equal(result)
+
+    @given(a=contiguous_discretes, b=contiguous_discretes, op=st.sampled_from(_SUMS))
+    @settings(max_examples=200, deadline=None)
+    def test_dense_inputs_take_the_bitset_path(self, a, b, op):
+        result, bitset = _kernel_path(op, a, b)
+        assert bitset
+        assert result == zadeh_oracle(op, a, b)
+
+    @given(a=spread_discretes, b=tied_discretes(), op=st.sampled_from(_SUMS), swap=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_inputs_take_the_pair_loop(self, a, b, op, swap):
+        if swap:
+            a, b = b, a
+        result, bitset = _kernel_path(op, a, b)
+        assert not bitset
+        assert result == zadeh_oracle(op, a, b)
+
+    @pytest.mark.parametrize("op", [operator.mul, operator.floordiv, operator.mod, max])
+    def test_other_ops_take_the_pair_loop(self, op):
+        a = dfn({k: 1 if k == 5 else "0.5" for k in range(1, 10)})
+        result, bitset = _kernel_path(op, a, a)
+        assert not bitset
+        assert result == zadeh_oracle(op, a, a)
+
+    @pytest.mark.parametrize("op", _SUMS, ids=["add", "sub"])
+    def test_sparse_wide_hull_allocates_no_bitset(self, op):
+        # A bitset over this hull would need about 10**17 bytes.
+        a = dfn({0: 1, 10**18: "0.5"})
+        b = dfn({0: 1, 1: "0.5"})
+        expected = zadeh_oracle(op, a, b)
+        tracemalloc.start()
+        try:
+            result = dfn_zadeh_binary(op, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 1 << 20
+
+
+class _UnhashableGrade(Fraction):
+    """A grade that refuses to be hashed."""
+
+    def __hash__(self):
+        raise TypeError("a grade was hashed")
+
+
+def _unhashable(points):
+    return DiscreteFuzzyNumber({v: _UnhashableGrade(as_grade(g)) for v, g in points.items()})
+
+
+def _plain(number):
+    return DiscreteFuzzyNumber([(v, Fraction(g)) for v, g in number.points])
+
+
+class TestNoGradeIsHashed:
+    dense = _unhashable({4: "0.5", 5: "1/3", 6: 1, 7: "2/6", 8: "0.5"})
+    sparse = _unhashable({4: "0.5", 60: 1, 900: "1/3"})
+    radix = _unhashable({2: "0.5", 3: 1})
+
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, operator.mul, operator.floordiv, operator.mod, max],
+        ids=["add", "sub", "mul", "floordiv", "mod", "max"],
+    )
+    @pytest.mark.parametrize("a", [dense, sparse], ids=["dense", "sparse"])
+    def test_kernel(self, a, op):
+        result = dfn_zadeh_binary(op, a, self.radix)
+        assert result == zadeh_oracle(op, _plain(a), _plain(self.radix))
+
+    def test_literals(self):
+        assert str(self.sparse) == "{4|0.5, 60|1, 900|1/3}"
+        scenario = Scenario(
+            {"x": self.dense, "y": 0}, [OperatorSpec(Form.L, ("x",), ("y",), (self.radix,), (1,))]
+        )
+        document = json.loads(scenario_to_json(scenario))
+        assert document["entities"][0]["value"][1] == [5, "1/3"]
+        assert document["steps"][0]["radix"] == [[2, "0.5"], [3, "1"]]
