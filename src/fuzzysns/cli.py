@@ -77,11 +77,9 @@ def _trace_text(trace: Trace) -> str:
 
 
 def _trace_json(trace: Trace) -> str:
-    # State literals: seeded once, skipping step 0's writes, then updated by each walk.
-    first = trace.steps[0] if trace.steps else None
-    written = {*first.result.remainders, *first.result.new_image_cardinals} if first else ()
-    seed = first.state if first else trace.final
-    state = {k: None if k in written else format_scalar(v) for k, v in seed.items()}
+    # State literals: seeded once from step 0's state, then updated by each walk.
+    seed = trace.steps[0].state if trace.steps else trace.final
+    state = {k: format_scalar(v) for k, v in seed.items()}
     steps = []
     for step in trace.steps:
         doc: dict = {"index": step.index, "form": step.spec.form.value}

@@ -44,8 +44,6 @@ def parse_fraction(text: str) -> Fraction:
         value = _fraction_from_text(text)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a number: {text!r}") from exc
     if not text.isascii() or "_" in text:
         raise ParseError(f"not a number: {text!r}")
     return value

@@ -13,9 +13,9 @@ never call ``op``; every other ``op``, and a sum over sparse, wide supports,
 call ``op`` exactly once per support pair.  Either way the kernel builds its
 result without validating it again: every grade it writes is an operand's
 grade, its result is a dict keyed by value, and the pair of the two operands'
-modes has grade 1, so only the support values are checked.  No grade is
-hashed on the way: grade levels and grade literals are keyed by the grade's
-``as_integer_ratio()``.
+modes has grade 1.  Only the values ``op`` returns are checked, once, after
+the pair loop; the bitset side builds ``int``s.  No grade is hashed on the
+way: grade levels and grade literals are keyed by ``as_integer_ratio()``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,10 @@ def _fraction_from_text(text: str) -> Fraction:
             raise DomainError(
                 f"number {text.strip()!r} has an exponent beyond +-{MAX_EXPONENT}"
             )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"not a number: {text!r}") from exc
 
 
 def as_grade(value: GradeLike) -> Fraction:
@@ -175,14 +178,11 @@ class DiscreteFuzzyNumber:
 
     @classmethod
     def _trusted(cls, out: dict[int, Fraction]) -> DiscreteFuzzyNumber:
-        """The sup-min kernel's result, checking only its support values.
+        """The sup-min kernel's result: ``out`` sorted into ``points``, nothing checked.
 
-        Grades, distinctness and normality hold by construction (see the
-        module docstring).  The values are checked because ``op`` is any
-        callable and can return a float or a bool.
+        Grades, distinctness, normality and integer support values hold by
+        construction, or are checked by :func:`dfn_zadeh_binary` (module docstring).
         """
-        for value in out:
-            _as_int(value, "support value")
         number = object.__new__(cls)
         object.__setattr__(number, "points", tuple(sorted(out.items())))
         return number
@@ -451,6 +451,8 @@ def dfn_zadeh_binary(
             for x in seen_a:
                 put(op(x, y), g)
         seen_b += new_b
+    for value in out:  # op is any callable and can return a float or a bool
+        _as_int(value, "support value")
     return DiscreteFuzzyNumber._trusted(out)
 
 

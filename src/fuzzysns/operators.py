@@ -111,11 +111,11 @@ class TransformResult:
 class _Family:
     """The arithmetic one family lends the operator algorithm.
 
-    ``floor_div`` takes the radix unlifted; ``common`` forms a common carry
-    from a list of partial carries; ``clamp`` and ``negative`` (the warning's
-    wording) handle a remainder that dips below zero, which a crisp one never
-    does; ``correlated`` maps each support value to its own remainder and
-    exists for the discrete family only.
+    Every function takes values of the family, lifted by ``lift``; ``common``
+    forms a common carry from a list of partial carries; ``clamp`` and
+    ``negative`` (the warning's wording) handle a remainder that dips below
+    zero, which a crisp one never does; ``correlated`` maps each support value
+    to its own remainder and exists for the discrete family only.
     """
 
     lift: Callable
@@ -153,7 +153,7 @@ _FAMILIES = {
     ),
     TRIANGULAR: _Family(
         lift=lambda value: lift_triangular(value),
-        floor_div=lambda cardinal, radix: tfn_floor_div(cardinal, lift_triangular(radix)),
+        floor_div=lambda cardinal, radix: tfn_floor_div(cardinal, radix),
         mul=lambda a, b: tfn_mul(a, b),
         add=lambda a, b: tfn_add(a, b),
         sub=lambda a, b: tfn_sub(a, b),
@@ -209,8 +209,9 @@ def _apply(
         # A fuzzy call lets an image dip below zero; an all-crisp one does not.
         for img in images:
             _check_natural(img, "image cardinal")
-
+    # Lifted once each, after the checks, so an error names the value as given.
     cardinals = [fam.lift(big_n) for big_n in operands]
+    radices = [fam.lift(n) for n in radices]
     partials = {i: fam.floor_div(c, n) for i, c, n in zip(op_ids, cardinals, radices)}
     carry = fam.common([partials[i] for i in op_ids]) if fused else partials[op_ids[0]]
     correlated = fam.correlated if options.remainder_mode == "correlated" and not fused else None
@@ -220,7 +221,7 @@ def _apply(
         if correlated:
             rem = correlated(cardinal, n)
         else:
-            rem = fam.sub(cardinal, fam.mul(carry, fam.lift(n)))
+            rem = fam.sub(cardinal, fam.mul(carry, n))
         low = _lowest(rem)
         if low < 0 and options.clamp_negative:
             rem = fam.clamp(rem)

@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from conftest import dfn, tri
 from fuzzysns import (
     Form,
+    FuzzySnsError,
     OperatorSpec,
     ParseError,
     Scenario,
     TransformOptions,
+    family,
+    format_scalar,
     run,
     scenario_from_json,
     scenario_to_json,
@@ -324,6 +327,35 @@ def random_scenario(rng):
         clamp_negative=rng.choice((False, True)),
     )
     return Scenario(entities, steps, options)
+
+
+def test_json_trace_states_are_the_formatted_step_states(tmp_path, capsys):
+    rng = random.Random(1618)
+    pinned = [
+        Scenario({"a": tri(2, 4, 9), "b": dfn({1: 1, 3: "0.5"})}, []),
+        # Step 0 writes every entity: "a" its remainder, "b" its image.
+        Scenario(
+            {"a": dfn({7: 1, 9: "0.5"}), "b": 2},
+            [OperatorSpec(Form.L, ("a",), ("b",), (3,), (2,))],
+        ),
+    ]
+    families = set()
+    for scenario in [random_scenario(rng) for _ in range(300)] + pinned:
+        try:
+            trace = run(scenario)
+        except FuzzySnsError:
+            assert scenario not in pinned
+            continue
+        assert main(["eval", write(tmp_path, scenario_to_json(scenario)), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["steps"]) == len(trace.steps)
+        for step, step_doc in zip(trace.steps, doc["steps"]):
+            expected = [(k, format_scalar(v)) for k, v in step.state.items()]
+            assert list(step_doc["state"].items()) == expected
+            families.update(map(family, step.result.remainders.values()))
+        final = [(k, format_scalar(v)) for k, v in trace.final.items()]
+        assert list(doc["final"].items()) == final
+    assert families == {"crisp", "discrete", "triangular"}
 
 
 def test_scenario_round_trip_randomized():

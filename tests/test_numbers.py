@@ -1,5 +1,6 @@
 import json
 import operator
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -210,6 +211,13 @@ class TestDiscreteInvariants:
             with pytest.raises(DomainError, match="exponent"):
                 as_grade(text)
 
+    @pytest.mark.parametrize("text", ["1/0", "abc", "nan"])
+    def test_grade_text_that_is_not_a_number_is_a_domain_error(self, text):
+        with pytest.raises(DomainError, match=re.escape(f"not a number: {text!r}")):
+            as_grade(text)
+        with pytest.raises(DomainError, match=re.escape(f"not a number: {text!r}")):
+            DiscreteFuzzyNumber({1: text})
+
 
 class TestZadehBinary:
     def test_singletons_reduce_to_crisp(self):
@@ -410,6 +418,23 @@ class TestTrustedKernelResult:
     def test_non_integer_op_result_is_a_domain_error(self, op):
         with pytest.raises(DomainError, match="support value must be an integer"):
             dfn_zadeh_binary(op, dfn({1: 1, 4: "0.5"}), dfn({2: 1}))
+
+    def test_only_the_pair_loop_checks_support_values(self, monkeypatch):
+        a = dfn({v: 1 if v == 4 else "0.5" for v in range(10)})
+        b = dfn({v: 1 if v == 2 else "0.3" for v in range(8)})
+        checked = []
+        as_int = numbers._as_int
+
+        def counting(value, what):
+            checked.append(value)
+            return as_int(value, what)
+
+        monkeypatch.setattr(numbers, "_as_int", counting)
+        for op in (operator.add, operator.sub):  # dense: the alpha-cut bitset side
+            dfn_zadeh_binary(op, a, b)
+        assert checked == []
+        product = dfn_zadeh_binary(operator.mul, a, b)  # the pair loop: each value once
+        assert sorted(checked) == list(product.support)
 
 
 def _denominators():

@@ -26,6 +26,7 @@ from fuzzysns import (
     lift_discrete,
     zadeh_oracle,
 )
+from fuzzysns import operators
 
 EXTENSION = TransformOptions(remainder_mode="extension")
 
@@ -460,3 +461,33 @@ def test_operator_contract(check):
 def test_options_refuse_non_boolean_clamp(clamp):
     with pytest.raises(OperatorSpecError, match="clamp_negative must be a boolean"):
         TransformOptions(clamp_negative=clamp)
+
+
+@pytest.mark.parametrize(
+    "options", [TransformOptions(), EXTENSION], ids=["correlated", "extension"]
+)
+@pytest.mark.parametrize(
+    "operands,family,called",
+    [
+        ((dfn({7: 1, 9: "0.5"}), dfn({4: "0.5", 5: 1})), DiscreteFuzzyNumber,
+         {"dfn_floor_div", "dfn_mod"}),
+        ((tri(7, 9, 12), tri(4, 5, 5)), TriangularFuzzyNumber, {"tfn_floor_div"}),
+    ],
+    ids=["discrete", "triangular"],
+)
+def test_crisp_radices_reach_the_family_arithmetic_lifted(
+    monkeypatch, options, operands, family, called
+):
+    radices = []
+    for name in ("dfn_floor_div", "dfn_mod", "tfn_floor_div"):
+        def record(cardinal, radix, name=name, real=getattr(operators, name)):
+            radices.append((name, radix))
+            return real(cardinal, radix)
+
+        monkeypatch.setattr(operators, name, record)
+    apply_L(operands[0], 0, 3, 1, options=options)
+    apply_F(operands, 0, (3, 2), 1, options=options)
+    if options.remainder_mode == "extension":
+        called = called - {"dfn_mod"}
+    assert {name for name, _ in radices} == called
+    assert all(isinstance(radix, family) for _, radix in radices), radices
