@@ -4,8 +4,8 @@ A multi-operand operator does not pick one of its partial carries; it forms a
 new carry from all of them.  For triangular partials the formation is the
 componentwise minimum of (lower; mode; upper).  For discrete partials the rule
 depends on whether the supports intersect: disjoint supports select the
-partial with the least mode outright, intersecting supports are recombined on
-the support union around the minimum mode.
+partial with the least mode outright; intersecting supports are recombined
+around the least mode, the union below it and the intersection above it.
 """
 
 from __future__ import annotations
@@ -33,31 +33,26 @@ def common_carry_tri(partials: Sequence[TriangularFuzzyNumber]) -> TriangularFuz
 
 
 def _form_pair(a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber) -> DiscreteFuzzyNumber:
-    support_a = set(a.support)
-    support_b = set(b.support)
-    if not (support_a & support_b):
+    grades_a, grades_b = dict(a.points), dict(b.points)
+    if grades_a.keys().isdisjoint(grades_b):
         # Disjoint supports: the partial with the least mode is the carry.
         return a if a.mode <= b.mode else b
     least_mode = min(a.mode, b.mode)
-    out: dict[int, Fraction] = {least_mode: Fraction(1)}
-    for value in sorted(support_a | support_b):
-        if value == least_mode:
-            continue
-        ga, gb = a.grade(value), b.grade(value)
-        grade = max(ga, gb) if value < least_mode else min(ga, gb)
-        if grade > 0:
-            out[value] = grade
+    union, shared = grades_a.keys() | grades_b.keys(), grades_a.keys() & grades_b.keys()
+    out = {v: max(grades_a.get(v, 0), grades_b.get(v, 0)) for v in union if v < least_mode}
+    out[least_mode] = Fraction(1)
+    out.update((v, min(grades_a[v], grades_b[v])) for v in shared if v > least_mode)
     return DiscreteFuzzyNumber(out)
 
 
 def common_carry_dfn(partials: Sequence[DiscreteFuzzyNumber]) -> DiscreteFuzzyNumber:
     """Form a discrete common carry, folding pairwise in operand order.
 
-    Pair rule: disjoint supports pick the least-mode partial; intersecting
-    supports are merged on the support union, where the minimum of the two
-    modes keeps grade 1, values below it keep the larger grade, values above
-    it keep the smaller grade, and grade-0 values are dropped.  The pair rule
-    is not known to be associative, so the operand order is the contract.
+    Pair rule: disjoint supports pick the least-mode partial.  Intersecting
+    supports meet at the least of the two modes, which keeps grade 1: below
+    it, the union of the supports, each value at its larger grade; above it,
+    the intersection, each value at its smaller grade.  The pair rule is not
+    known to be associative, so the operand order is the contract.
     """
     if not partials:
         raise OperatorSpecError("common carry needs at least one partial carry")

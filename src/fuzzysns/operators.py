@@ -172,6 +172,9 @@ def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
     out = tuple(ids)
     if len(out) != count:
         raise OperatorSpecError(f"{len(out)} entity ids for {count} values")
+    if len(set(out)) != count:
+        repeated = list(dict.fromkeys(i for i in out if out.count(i) > 1))
+        raise OperatorSpecError(f"entity ids listed more than once: {repeated}")
     return out
 
 

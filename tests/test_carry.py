@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,57 @@ class TestDiscreteFormation:
         c = dfn({0: 1, 1: "0.8", 7: "0.4"})
         assert common_carry_dfn([a, b, c]) == dfn({0: 1})
         assert common_carry_dfn([a, c, b]) == dfn({0: 1, 1: "0.4"})
+
+
+def reference_pair(a, b):
+    """The pair rule value by value, as the ``common_carry_dfn`` docstring states it."""
+    support_a, support_b = set(a.support), set(b.support)
+    if not support_a & support_b:
+        return a if a.mode <= b.mode else b
+    least_mode = min(a.mode, b.mode)
+    points = {}
+    for value in sorted(support_a | support_b):
+        ga, gb = a.grade(value), b.grade(value)
+        if value == least_mode:
+            grade = Fraction(1)
+        elif value < least_mode:
+            grade = max(ga, gb)
+        else:
+            grade = min(ga, gb)
+        if grade > 0:
+            points[value] = grade
+    return dfn(points)
+
+
+def reference_carry(parts):
+    return functools.reduce(reference_pair, parts)
+
+
+@st.composite
+def nested(draw):
+    """A pair whose second support lies inside the first."""
+    outer = draw(discretes(high=12))
+    values = draw(st.lists(st.sampled_from(outer.support), min_size=1, unique=True))
+    grades = {v: Fraction(draw(st.integers(1, 10)), 10) for v in values}
+    grades[draw(st.sampled_from(values))] = Fraction(1)
+    return [outer, dfn(grades)]
+
+
+class TestDiscreteFormationReference:
+    @given(parts=st.lists(discretes(high=12), min_size=2, max_size=4))
+    @settings(max_examples=300)
+    def test_matches_reference(self, parts):
+        assert common_carry_dfn(parts) == reference_carry(parts)
+
+    @given(a=discretes(high=12), b=discretes(low=13, high=25), upper_first=st.booleans())
+    def test_disjoint_supports_match_reference(self, a, b, upper_first):
+        parts = [b, a] if upper_first else [a, b]
+        assert common_carry_dfn(parts) == reference_carry(parts) == a
+
+    @given(pair=nested(), inner_first=st.booleans())
+    def test_nested_supports_match_reference(self, pair, inner_first):
+        parts = pair[::-1] if inner_first else pair
+        assert common_carry_dfn(parts) == reference_carry(parts)
 
 
 def test_formation_handles_many_random_permutation_sets():

@@ -237,6 +237,10 @@ class TestCarry:
         code = main(["carry", "--family", "dfn", "{1|}"])
         assert code == 2
 
+    def test_triangular_literal_as_discrete_exits_2(self, capsys):
+        assert main(["carry", "--family", "dfn", "(1;2;3)"]) == 2
+        assert capsys.readouterr().err.startswith("error: discrete literal must look like ")
+
 
 class TestTable:
     def test_three_point_sampling(self, capsys):
@@ -303,16 +307,23 @@ def random_scenario(rng):
         return dfn(grades)
 
     names = rng.sample("abcdefghijklmnopqrstuvwxyz", rng.randint(2, 8))
-    entities = {name: scalar(rng.choice(families)) for name in names}
+    # Each entity's family as the steps so far leave it: a step writes its joint
+    # family to every entity it names, and crisp joins either fuzzy family.
+    family_of = {name: rng.choice(families) for name in names}
+    entities = {name: scalar(family_of[name]) for name in names}
     steps = []
     for _ in range(rng.randint(0, 3)):
         form = rng.choice(list(Form))
         w = 1 if form in (Form.L, Form.D) else 2
         v = 1 if form in (Form.L, Form.F) else 2
-        chosen = rng.sample(names, min(len(names), w + v))
-        if len(chosen) < w + v:
+        fuzzy = rng.choice(families[1:])
+        pool = [name for name in names if family_of[name] in ("crisp", fuzzy)]
+        if len(pool) < w + v:
             continue
-        fam = rng.choice(families)
+        chosen = rng.sample(pool, w + v)
+        joint = fuzzy if any(family_of[name] == fuzzy for name in chosen) else "crisp"
+        fam = rng.choice(("crisp", joint) if joint != "crisp" else families)
+        family_of.update((name, joint if fam == "crisp" else fam) for name in chosen)
         steps.append(
             OperatorSpec(
                 form,
@@ -637,6 +648,26 @@ def test_rates_must_be_a_list(tmp_path, capsys, rates):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: steps[0]: 'rates' must be a list\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_document(step={"operands": "a"}), "steps[0]: 'operands' must be a list of entity ids"),
+        (_document(step={"operands": [1]}), "steps[0]: 'operands' must be a list of entity ids"),
+        (_document(steps={}), "'steps' must be a list"),
+        (_document(entities={}), "'entities' must be a list"),
+        (_document(entity={"id": ""}), "entities[0]: entity id must be a nonempty string"),
+        (_document(entity={"id": 5}), "entities[0]: entity id must be a nonempty string"),
+    ],
+    ids=["operands-string", "operands-ints", "steps-object", "entities-object",
+         "id-empty", "id-int"],
+)
+def test_malformed_record_exits_2_and_names_it(tmp_path, capsys, text, message):
+    assert main(["eval", write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # Grade text is ASCII too: "١/٢", "1_0/2_0" and "0.5_0" used to read as 1/2.

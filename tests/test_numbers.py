@@ -388,6 +388,16 @@ def test_lift_and_collapse_round_trip():
     assert crisp_value(dfn({1: 1, 2: "0.5"})) is None
 
 
+def test_lift_and_collapse_refuse_the_wrong_kind():
+    assert crisp_value(5) == 5
+    with pytest.raises(DomainError, match="crisp value"):
+        crisp_value(True)
+    with pytest.raises(MixedFamilyError, match="cannot lift a discrete"):
+        lift_triangular(dfn({2: 1}))
+    with pytest.raises(DomainError, match="grade must be numeric, got None"):
+        as_grade(None)
+
+
 # The kernel builds its result without re-validation (``_trusted``); it must be
 # the number the validating constructor builds from the same points.
 _TRUSTED_OPS = [operator.add, operator.sub, operator.mul, max]

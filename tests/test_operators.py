@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 
 import pytest
 
@@ -400,6 +401,36 @@ def _id_count_mismatch_rejected():
             call()
 
 
+def _repeated_ids_rejected():
+    # Results are keyed by entity id: a repeated id would collapse two operands
+    # (or images) into one entry and form the carry from the wrong partials.
+    for call, repeated in (
+        (lambda: apply_F([7, 100], 0, [3, 2], 1, operand_ids=("x", "x")), "['x']"),
+        (lambda: apply_D(7, [0, 5], 3, [1, 2], image_ids=("a", "a")), "['a']"),
+        (lambda: crisp_M([7, 9, 4], [0, 0], [3, 4, 2], [1, 1], operand_ids="yzy"), "['y']"),
+        (lambda: apply_M([7], [0, 0, 0], [3], [1, 1, 1], image_ids=("a", "b", "b")), "['b']"),
+    ):
+        with pytest.raises(OperatorSpecError, match=re.escape(f"more than once: {repeated}")):
+            call()
+    assert apply_F([7, 100], 0, [3, 2], 1, operand_ids=("x", "y")).common_carry == 2
+
+
+def _fused_carry_has_no_single_remainder():
+    result = apply_F([7, 9], 0, [3, 2], 1)
+    assert result.carry == 2
+    with pytest.raises(OperatorSpecError, match="no single remainder: 2 present"):
+        result.remainder
+
+
+def _operand_and_image_counts_checked():
+    for call, message in (
+        (lambda: apply_F([7, 9], 0, [3], 1), "2 operands but 1 radices"),
+        (lambda: apply_F([], 0, [], 1), "an operator needs at least one operand and one image"),
+    ):
+        with pytest.raises(OperatorSpecError, match=message):
+            call()
+
+
 def _default_entity_ids():
     cases = [
         (apply_L(7, 0, 3, 1), ("i",), ("j",)),
@@ -446,6 +477,9 @@ OPERATOR_CONTRACT = [
     _negative_image_rejected_only_when_all_crisp,
     _crisp_operators_reject_bool_and_fuzzy_arguments,
     _id_count_mismatch_rejected,
+    _repeated_ids_rejected,
+    _fused_carry_has_no_single_remainder,
+    _operand_and_image_counts_checked,
     _default_entity_ids,
     _crisp_results_are_plain_ints,
 ]
