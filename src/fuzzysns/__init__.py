@@ -57,13 +57,22 @@ from .operators import (
     crisp_L,
     crisp_M,
 )
-from .oracle import alpha_cut_check, equivalence_suite, random_dfn, zadeh_oracle
 from .scenario import (
     Diagnostic, Form, Multeity, OperatorSpec, Scenario, Trace, TraceStep, run, validate,
     valence_matches,
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The oracle's names, imported on first use (and ``random`` with them)."""
+    if name in ("alpha_cut_check", "equivalence_suite", "random_dfn", "zadeh_oracle"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DiscreteFuzzyNumber",

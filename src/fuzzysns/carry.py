@@ -11,7 +11,7 @@ around the least mode, the union below it and the intersection above it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, OperatorSpecError
 from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber

@@ -13,12 +13,10 @@ unreadable or undecodable file included).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from fractions import Fraction
-from typing import get_args
 
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
@@ -30,8 +28,7 @@ from .formats import (
     scenario_from_json,
 )
 from .numbers import tfn_membership
-from .oracle import equivalence_suite
-from .operators import RemainderMode, TransformOptions, TransformResult
+from .operators import REMAINDER_MODES, TransformOptions, TransformResult
 from .scenario import Scenario, Trace, run
 
 PARSE_FAILURE = 2
@@ -96,6 +93,8 @@ def _trace_json(trace: Trace) -> str:
 
 
 def _trace_csv(trace: Trace) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["step", "form", "field", "entity", "value"])
@@ -164,6 +163,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .oracle import equivalence_suite
+
     if args.cases < 1:
         raise DomainError("--cases must be at least 1")
     passed, total = equivalence_suite(args.seed, args.cases)
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("scenario", help="path to a scenario JSON document")
     eval_parser.add_argument("--format", choices=tuple(_RENDERERS), default="text")
     eval_parser.add_argument(
-        "--remainder-mode", choices=get_args(RemainderMode), default=None,
+        "--remainder-mode", choices=REMAINDER_MODES, default=None,
         help="override the scenario's discrete remainder semantics",
     )
     eval_parser.add_argument(

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, fields
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Any, Callable
 
 from .errors import DomainError, ParseError
 from .numbers import (
@@ -123,7 +122,7 @@ def parse_scalar(text: str) -> FuzzyScalar:
 
 # --- scenario files ----------------------------------------------------------
 
-def _scalar_to_json(value: FuzzyScalar) -> Any:
+def _scalar_to_json(value: FuzzyScalar) -> object:
     if isinstance(value, TriangularFuzzyNumber):
         return [value.lower, value.mode, value.upper]
     if isinstance(value, DiscreteFuzzyNumber):
@@ -131,7 +130,7 @@ def _scalar_to_json(value: FuzzyScalar) -> Any:
     return value
 
 
-def _scalar_from_json(node: Any, where: str) -> FuzzyScalar:
+def _scalar_from_json(node: object, where: str) -> FuzzyScalar:
     if _is_int(node):
         return node
     if isinstance(node, str):
@@ -156,7 +155,7 @@ def _support_key(key: str, where: str) -> int:
         raise ParseError(f"{where}: support key {key!r} is not an integer") from exc
 
 
-def _record(node: Any, where: str, required: tuple, optional: tuple = ()) -> dict:
+def _record(node: object, where: str, required: tuple, optional: tuple = ()) -> dict:
     """``node`` as a record: an object with every ``required`` key and no key outside the two."""
     if not isinstance(node, dict):
         raise ParseError(f"{where} must be a JSON object")
@@ -180,7 +179,7 @@ def _step_to_json(step: OperatorSpec) -> dict:
     }
 
 
-def _step_from_json(node: Any, index: int) -> OperatorSpec:
+def _step_from_json(node: object, index: int) -> OperatorSpec:
     where = f"steps[{index}]"
     _record(node, where, ("form", "operands", "images", "radix", "rates"))
     try:
@@ -212,7 +211,7 @@ def scenario_to_json(scenario: Scenario) -> str:
             for entity_id, value in scenario.initial.items()
         ],
         "steps": [_step_to_json(step) for step in scenario.steps],
-        "options": asdict(scenario.options),
+        "options": {key: getattr(scenario.options, key) for key in TransformOptions.__slots__},
     }
     return json.dumps(doc, indent=2)
 
@@ -233,7 +232,7 @@ def scenario_from_json(text: str) -> Scenario:
         raise ParseError(str(exc)) from exc
 
 
-def _scenario_from_doc(doc: Any) -> Scenario:
+def _scenario_from_doc(doc: object) -> Scenario:
     _record(doc, "scenario document", ("entities",), ("steps", "options"))
     for key in ("entities", "steps"):
         if not isinstance(doc.get(key, []), list):
@@ -255,6 +254,5 @@ def _scenario_from_doc(doc: Any) -> Scenario:
             )
         initial[entity_id] = value
     steps = tuple(_step_from_json(node, k) for k, node in enumerate(doc.get("steps", [])))
-    keys = tuple(f.name for f in fields(TransformOptions))
-    options = _record(doc.get("options", {}), "options", (), keys)
+    options = _record(doc.get("options", {}), "options", (), TransformOptions.__slots__)
     return Scenario(initial, steps, _build("options", TransformOptions, **options))

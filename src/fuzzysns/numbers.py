@@ -24,13 +24,12 @@ import functools
 import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
 
 from .errors import DomainError, InvalidRadixError, MixedFamilyError
 
-GradeLike = Union[int, float, str, Fraction]
+GradeLike = int | float | str | Fraction
 
 
 def _is_int(value) -> bool:
@@ -121,25 +120,62 @@ def _grade_text(ratio: tuple[int, int]) -> str:
     return format_fraction(Fraction(*ratio))
 
 
-@dataclass(frozen=True)
-class TriangularFuzzyNumber:
+class _Record:
+    """A frozen record whose fields are its ``__slots__``, set once by ``_init``.
+
+    Equality and hash go by the field tuple, within one class; the repr is
+    ``Name(field=value, ...)``; copies and pickles are rebuilt by ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+        get = operator.attrgetter(*cls.__slots__)  # the bare value for a single field
+        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class TriangularFuzzyNumber(_Record):
     """Integer triple (lower; mode; upper) with piecewise-linear membership.
 
     A degenerate triple lower == mode == upper represents a crisp value.
     Bounds are plain integers: remainder subtraction can push them negative.
     """
 
-    lower: int
-    mode: int
-    upper: int
+    __slots__ = ("lower", "mode", "upper")
 
-    def __post_init__(self):
-        for name in ("lower", "mode", "upper"):
-            _as_int(getattr(self, name), name)
-        if not self.lower <= self.mode <= self.upper:
-            raise DomainError(
-                f"triangular triple out of order: ({self.lower}; {self.mode}; {self.upper})"
-            )
+    def __init__(self, lower: int, mode: int, upper: int):
+        for name, value in zip(self.__slots__, (lower, mode, upper)):
+            _as_int(value, name)
+        if not lower <= mode <= upper:
+            raise DomainError(f"triangular triple out of order: ({lower}; {mode}; {upper})")
+        self._init(lower, mode, upper)
 
     @property
     def is_crisp(self) -> bool:
@@ -149,8 +185,7 @@ class TriangularFuzzyNumber:
         return f"({self.lower}; {self.mode}; {self.upper})"
 
 
-@dataclass(frozen=True)
-class DiscreteFuzzyNumber:
+class DiscreteFuzzyNumber(_Record):
     """Finite, normal fuzzy number: integer support values with exact grades.
 
     ``points`` is canonicalised at construction into a tuple of (value, grade)
@@ -159,7 +194,11 @@ class DiscreteFuzzyNumber:
     exactly 1 (normality), so every number has a mode.
     """
 
-    points: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("points",)
+
+    def __init__(self, points: Mapping[int, GradeLike] | Iterable[tuple[int, GradeLike]]):
+        self._init(points)
+        self.__post_init__()
 
     def __post_init__(self):
         raw = self.points
@@ -212,7 +251,7 @@ class DiscreteFuzzyNumber:
         return "{" + ", ".join(literals) + "}"
 
 
-FuzzyScalar = Union[int, DiscreteFuzzyNumber, TriangularFuzzyNumber]
+FuzzyScalar = int | DiscreteFuzzyNumber | TriangularFuzzyNumber
 
 # Family tags for dispatch over the crisp/discrete/triangular union.
 CRISP = "crisp"
@@ -456,9 +495,7 @@ def dfn_zadeh_binary(
     return DiscreteFuzzyNumber._trusted(out)
 
 
-def dfn_floor_div(
-    a: DiscreteFuzzyNumber, n: Union[int, DiscreteFuzzyNumber]
-) -> DiscreteFuzzyNumber:
+def dfn_floor_div(a: DiscreteFuzzyNumber, n: int | DiscreteFuzzyNumber) -> DiscreteFuzzyNumber:
     """Carry of a discrete cardinal over a crisp or discrete radix: sup-min ``t // s``.
 
     A crisp radix is lifted to a singleton, so each support value t maps to
@@ -468,7 +505,7 @@ def dfn_floor_div(
     return dfn_zadeh_binary(operator.floordiv, a, lift_discrete(n))
 
 
-def dfn_mod(a: DiscreteFuzzyNumber, n: Union[int, DiscreteFuzzyNumber]) -> DiscreteFuzzyNumber:
+def dfn_mod(a: DiscreteFuzzyNumber, n: int | DiscreteFuzzyNumber) -> DiscreteFuzzyNumber:
     """Correlated remainder over a crisp or discrete radix: sup-min ``t mod s``.
 
     Each support value t maps to its own remainder, which keeps the remainder

@@ -27,45 +27,43 @@ carry has no source value to correlate with.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence, get_args
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import OperatorSpecError
 from .numbers import (
-    CRISP, DISCRETE, TRIANGULAR, FuzzyScalar, TriangularFuzzyNumber,
+    CRISP, DISCRETE, TRIANGULAR, FuzzyScalar, TriangularFuzzyNumber, _Record,
     _as_int, _check_natural, _check_radix, _lowest, dfn_floor_div, dfn_mod,
     dfn_zadeh_binary, joint_family, lift_discrete, lift_triangular,
     tfn_add, tfn_floor_div, tfn_mul, tfn_sub,
 )
 
-RemainderMode = Literal["correlated", "extension"]
+REMAINDER_MODES = ("correlated", "extension")
 
 
-@dataclass(frozen=True)
-class TransformOptions:
+class TransformOptions(_Record):
     """Knobs for the fuzzy paths.
 
-    ``remainder_mode`` selects correlated vs cross-product discrete
-    remainders; ``clamp_negative`` raises negative remainder components or
-    support values to zero instead of flagging them.
+    ``remainder_mode`` (one of ``REMAINDER_MODES``) selects correlated vs
+    cross-product discrete remainders; ``clamp_negative`` raises negative
+    remainder components or support values to zero instead of flagging them.
     """
 
-    remainder_mode: RemainderMode = "correlated"
-    clamp_negative: bool = False
+    __slots__ = ("remainder_mode", "clamp_negative")
 
-    def __post_init__(self):
-        if self.remainder_mode not in get_args(RemainderMode):
-            raise OperatorSpecError(f"unknown remainder mode {self.remainder_mode!r}")
-        if not isinstance(self.clamp_negative, bool):
-            raise OperatorSpecError(f"clamp_negative must be a boolean: {self.clamp_negative!r}")
+    def __init__(self, remainder_mode: str = "correlated", clamp_negative: bool = False):
+        if remainder_mode not in REMAINDER_MODES:
+            raise OperatorSpecError(f"unknown remainder mode {remainder_mode!r}")
+        if not isinstance(clamp_negative, bool):
+            raise OperatorSpecError(f"clamp_negative must be a boolean: {clamp_negative!r}")
+        self._init(remainder_mode, clamp_negative)
 
 
 DEFAULT_OPTIONS = TransformOptions()
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(_Record):
     """Everything one operator application produces.
 
     Maps are keyed by entity id in operand/image order; ``common_carry`` is
@@ -73,12 +71,20 @@ class TransformResult:
     remainder bounds) that are reported but do not fail the call.
     """
 
-    partial_carries: dict[str, FuzzyScalar]
-    common_carry: Optional[FuzzyScalar]
-    remainders: dict[str, FuzzyScalar]
-    transformants: dict[str, FuzzyScalar]
-    new_image_cardinals: dict[str, FuzzyScalar]
-    warnings: tuple[str, ...] = field(default=())
+    __slots__ = (
+        "partial_carries", "common_carry", "remainders", "transformants",
+        "new_image_cardinals", "warnings",
+    )
+
+    def __init__(
+        self, partial_carries: dict[str, FuzzyScalar], common_carry: FuzzyScalar | None,
+        remainders: dict[str, FuzzyScalar], transformants: dict[str, FuzzyScalar],
+        new_image_cardinals: dict[str, FuzzyScalar], warnings: tuple[str, ...] = (),
+    ):
+        self._init(
+            partial_carries, common_carry, remainders, transformants, new_image_cardinals,
+            warnings,
+        )
 
     def _single(self, mapping: dict, what: str) -> FuzzyScalar:
         if len(mapping) != 1:
@@ -107,26 +113,19 @@ class TransformResult:
 
 # --- per-family arithmetic ---------------------------------------------------
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(SimpleNamespace):
     """The arithmetic one family lends the operator algorithm.
 
-    Every function takes values of the family, lifted by ``lift``; ``common``
-    forms a common carry from a list of partial carries; ``clamp`` and
-    ``negative`` (the warning's wording) handle a remainder that dips below
-    zero, which a crisp one never does; ``correlated`` maps each support value
-    to its own remainder and exists for the discrete family only.
+    Every function (``floor_div``, ``mul``, ``add``, ``sub``) takes values of
+    the family, lifted by ``lift``; ``common`` forms a common carry from a list
+    of partial carries; ``clamp`` and ``negative`` (the warning's wording)
+    handle a remainder that dips below zero, which a crisp one never does;
+    ``correlated`` maps each support value to its own remainder and exists
+    for the discrete family only.
     """
 
-    lift: Callable
-    floor_div: Callable
-    mul: Callable
-    add: Callable
-    sub: Callable
-    common: Callable
-    clamp: Optional[Callable] = None
-    negative: str = ""
-    correlated: Optional[Callable] = None
+    clamp = correlated = None
+    negative = ""
 
 
 # The lambdas look the module's functions up at call time, so a wrapper that

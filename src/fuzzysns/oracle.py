@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber
 

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import partial
-from typing import Optional
 
 from .errors import (
     DomainError,
@@ -32,8 +30,10 @@ from .errors import (
     ScenarioValidationError,
     StepExecutionError,
 )
-from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, family
-from .operators import TransformOptions, TransformResult, apply_D, apply_F, apply_L, apply_M
+from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
+from .operators import (
+    DEFAULT_OPTIONS, TransformOptions, TransformResult, apply_D, apply_F, apply_L, apply_M,
+)
 
 Multeity = dict[str, FuzzyScalar]
 
@@ -57,8 +57,7 @@ def valence_matches(form: Form, w: int, v: int) -> bool:
     return (w == 1 if one_operand else w >= 2) and (v == 1 if one_image else v >= 2)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(_Record):
     """Description of one operator application inside a scenario.
 
     ``operands``/``images`` are entity ids; ``radices`` has one radix per
@@ -67,35 +66,29 @@ class OperatorSpec:
     violations as diagnostics instead of raising here.
     """
 
-    form: Form
-    operands: tuple[str, ...]
-    images: tuple[str, ...]
-    radices: tuple[FuzzyScalar, ...]
-    rates: tuple[FuzzyScalar, ...]
+    __slots__ = ("form", "operands", "images", "radices", "rates")
 
-    def __post_init__(self):
-        object.__setattr__(self, "form", Form(self.form))
-        for name in ("operands", "images", "radices", "rates"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(
+        self, form: Form | str, operands: Iterable[str], images: Iterable[str],
+        radices: Iterable[FuzzyScalar], rates: Iterable[FuzzyScalar],
+    ):
+        self._init(Form(form), tuple(operands), tuple(images), tuple(radices), tuple(rates))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    initial: Multeity
-    steps: tuple[OperatorSpec, ...]
-    options: TransformOptions = field(default_factory=TransformOptions)
+class Scenario(_Record):
+    __slots__ = ("initial", "steps", "options")
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", dict(self.initial))
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, initial: Mapping, steps: Iterable[OperatorSpec], options=DEFAULT_OPTIONS):
+        self._init(dict(initial), tuple(steps), options)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     """One validation finding; ``step`` is None for multeity-level issues."""
 
-    step: Optional[int]
-    message: str
+    __slots__ = ("step", "message")
+
+    def __init__(self, step: int | None, message: str):
+        self._init(step, message)
 
     def __str__(self) -> str:
         if self.step is None:
@@ -120,19 +113,18 @@ class _State(Mapping):
         return iter(self._history)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    spec: OperatorSpec
-    result: TransformResult
-    state: Mapping[str, FuzzyScalar]
+class TraceStep(_Record):
+    __slots__ = ("index", "spec", "result", "state")
+
+    def __init__(self, index: int, spec: OperatorSpec, result: TransformResult, state: Mapping):
+        self._init(index, spec, result, state)
 
 
-@dataclass(frozen=True)
-class Trace:
-    steps: tuple[TraceStep, ...]
-    final: Multeity
-    warnings: tuple[str, ...]
+class Trace(_Record):
+    __slots__ = ("steps", "final", "warnings")
+
+    def __init__(self, steps: tuple[TraceStep, ...], final: Multeity, warnings: tuple[str, ...]):
+        self._init(steps, final, warnings)
 
 
 def validate(scenario: Scenario) -> list[Diagnostic]:
@@ -144,7 +136,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     value that is not a fuzzy scalar is reported on its own, not as a mix.
     """
     out: list[Diagnostic] = []
-    families: dict[str, Optional[str]] = {}
+    families: dict[str, str | None] = {}
     for entity_id, cardinal in scenario.initial.items():
         if not isinstance(entity_id, str) or not entity_id:
             out.append(Diagnostic(None, f"entity id {entity_id!r} must be a nonempty string"))

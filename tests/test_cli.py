@@ -312,14 +312,20 @@ def random_scenario(rng):
     family_of = {name: rng.choice(families) for name in names}
     entities = {name: scalar(family_of[name]) for name in names}
     steps = []
-    for _ in range(rng.randint(0, 3)):
-        form = rng.choice(list(Form))
-        w = 1 if form in (Form.L, Form.D) else 2
-        v = 1 if form in (Form.L, Form.F) else 2
-        fuzzy = rng.choice(families[1:])
-        pool = [name for name in names if family_of[name] in ("crisp", fuzzy)]
-        if len(pool) < w + v:
-            continue
+    for _ in range(rng.randint(1, 3)):
+        # A step's form and fuzzy family are drawn among those with enough
+        # entities to fill it; with none, the scenario stops here.
+        fits = []
+        for form in Form:
+            w = 1 if form in (Form.L, Form.D) else 2
+            v = 1 if form in (Form.L, Form.F) else 2
+            for fuzzy in families[1:]:
+                pool = [name for name in names if family_of[name] in ("crisp", fuzzy)]
+                if len(pool) >= w + v:
+                    fits.append((form, w, v, fuzzy, pool))
+        if not fits:
+            break
+        form, w, v, fuzzy, pool = rng.choice(fits)
         chosen = rng.sample(pool, w + v)
         joint = fuzzy if any(family_of[name] == fuzzy for name in chosen) else "crisp"
         fam = rng.choice(("crisp", joint) if joint != "crisp" else families)
