@@ -4,7 +4,8 @@ Subcommands: ``eval`` runs a scenario file and prints the transformation
 trace, ``carry`` forms a common carry from inline literals, ``table`` samples
 a triangular membership function into CSV, and ``oracle-check`` runs the
 randomized brute-force equivalence suite.  The text, JSON and CSV traces
-render one walk over each step's result (:func:`_walk`).  Subcommands raise;
+render one walk over each step's result (:func:`_walk`) into a list of output
+chunks, all formatted before :func:`_print` writes the first.  Subcommands raise;
 only :func:`main` maps errors to exit codes: 0 success, 1 validation or
 runtime failure (a result too long to print included), 2 parse failure (an
 unreadable or undecodable file included).
@@ -13,10 +14,10 @@ unreadable or undecodable file included).
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
@@ -59,7 +60,7 @@ def _walk(result: TransformResult):
             yield name, csv_name, label, entity_id, literal
 
 
-def _trace_text(trace: Trace) -> str:
+def _trace_text(trace: Trace) -> list[str]:
     lines = []
     for step in trace.steps:
         parts = [
@@ -70,53 +71,76 @@ def _trace_text(trace: Trace) -> str:
     lines.append("final:")
     for entity_id, cardinal in trace.final.items():
         lines.append(f"  {entity_id} = {format_scalar(cardinal)}")
-    return "\n".join(lines)
+    return lines
 
 
-def _trace_json(trace: Trace) -> str:
-    # State literals: seeded once from step 0's state, then updated by each walk.
+def _json_block(head: str, lines, tail: str, pad: str) -> str:
+    """A container as ``json.dumps(..., indent=2)`` writes it, from its member lines."""
+    return head + "\n" + ",\n".join(lines) + "\n" + pad + tail if lines else head + tail
+
+
+def _trace_json(trace: Trace) -> list[str]:
+    # Each entity's state line, encoded once: from step 0's state, then as each step writes it.
     seed = trace.steps[0].state if trace.steps else trace.final
-    state = {k: format_scalar(v) for k, v in seed.items()}
-    steps = []
+    state = {k: f"        {_json_str(k)}: {_json_str(format_scalar(v))}" for k, v in seed.items()}
+    chunks = ["{", '  "steps": [' if trace.steps else '  "steps": [],']
     for step in trace.steps:
-        doc: dict = {"index": step.index, "form": step.spec.form.value}
+        fields: dict = {"index": str(step.index), "form": _json_str(step.spec.form.value)}
         for name, _, _, entity_id, literal in _walk(step.result):
             if entity_id is None:
-                doc[name] = literal
-            else:
-                doc.setdefault(name, {})[entity_id] = literal
-                if name in ("remainders", "new_image_cardinals"):
-                    state[entity_id] = literal
-        doc["state"] = dict(state)
-        steps.append(doc)
-    return json.dumps({"steps": steps, "final": state, "warnings": list(trace.warnings)}, indent=2)
+                fields[name] = "null" if literal is None else _json_str(literal)
+                continue
+            line = f"        {_json_str(entity_id)}: {_json_str(literal)}"
+            fields.setdefault(name, []).append(line)
+            if name in ("remainders", "new_image_cardinals"):
+                state[entity_id] = line
+        fields["state"] = list(state.values())
+        members = [
+            f'      "{k}": ' + (v if isinstance(v, str) else _json_block("{", v, "}", "      "))
+            for k, v in fields.items()
+        ]
+        tail = "}" if step is trace.steps[-1] else "},"
+        chunks.append(_json_block("    {", members, tail, "    "))
+    if trace.steps:
+        chunks.append("  ],")
+    final = _json_block("{", [line[4:] for line in state.values()], "}", "  ")
+    warnings = _json_block("[", ["    " + _json_str(w) for w in trace.warnings], "]", "  ")
+    return [*chunks, f'  "final": {final},', f'  "warnings": {warnings}', "}"]
 
 
-def _trace_csv(trace: Trace) -> str:
+def _trace_csv(trace: Trace) -> list[str]:
     import csv
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["step", "form", "field", "entity", "value"])
+    # writerow returns write's result: the row minus the "\n" that makes line feeds quoted.
+    row = csv.writer(SimpleNamespace(write=lambda line: line[:-1]), lineterminator="\n").writerow
+    rows = [row(["step", "form", "field", "entity", "value"])]
     for step in trace.steps:
         for _, csv_name, _, entity_id, literal in _walk(step.result):
             if literal is not None:
-                writer.writerow([step.index, step.spec.form.value, csv_name, entity_id, literal])
-    for entity_id, value in trace.final.items():
-        writer.writerow(["", "", "final", entity_id, format_scalar(value)])
-    return buffer.getvalue().rstrip("\n")
+                rows.append(row([step.index, step.spec.form.value, csv_name, entity_id, literal]))
+    rows.extend(row(["", "", "final", k, format_scalar(v)]) for k, v in trace.final.items())
+    return rows
 
 
 _RENDERERS = {"text": _trace_text, "json": _trace_json, "csv": _trace_csv}
 
 
 def _print(render, *args) -> None:
-    """Print ``render(*args)``; a number too long to convert to text is a DomainError."""
+    """Print the list of strings ``render(*args)`` returns, one per line, as one joined text would.
+
+    A number too long to convert to text is a DomainError raised before any output.  Lines go
+    out in ~64 KiB blocks: few writes even to an unbuffered stdout, and no whole-output copy.
+    """
     try:
-        text = render(*args)
+        chunks = render(*args)
     except ValueError as exc:
         raise DomainError(f"cannot print the result: {exc}") from exc
-    print(text)
+    start = size = 0
+    for end, chunk in enumerate(chunks, 1):
+        size += len(chunk)
+        if size >= 1 << 16 or end == len(chunks):
+            print("\n".join(chunks[start:end]))
+            start, size = end, 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -126,6 +150,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.scenario}: {exc}") from exc
     scenario = scenario_from_json(text)
+    del text  # not needed once parsed: free it before the run
     options = TransformOptions(
         args.remainder_mode or scenario.options.remainder_mode,
         args.clamp_negative or scenario.options.clamp_negative,
@@ -142,17 +167,17 @@ def cmd_carry(args: argparse.Namespace) -> int:
         formed = common_carry_tri([parse_triangular(text) for text in args.literals])
     else:
         formed = common_carry_dfn([parse_discrete(text) for text in args.literals])
-    _print(format_scalar, formed)
+    _print(lambda: [format_scalar(formed)])
     return 0
 
 
-def _table(number, resolution: int) -> str:
+def _table(number, resolution: int) -> list[str]:
     span = Fraction(number.upper - number.lower)
     lines = ["x,mu"]
     for k in range(resolution):
         x = Fraction(number.lower) + span * k / (resolution - 1)
         lines.append(f"{format_fraction(x)},{format_fraction(tfn_membership(x, number))}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_table(args: argparse.Namespace) -> int:

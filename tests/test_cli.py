@@ -446,6 +446,28 @@ def test_output_too_long_to_print_exits_1(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+# The late document's step 0 prints; only step 1's image is too long, so a
+# renderer that wrote before formatting everything would leave step 0 on stdout.
+_LATE_BIG = (
+    '{"entities": [{"id": "a", "value": 1}, {"id": "b", "value": 0}, {"id": "i", "value": %s},'
+    ' {"id": "j", "value": 0}], "steps": [{"form": "L", "operands": ["a"], "images": ["b"],'
+    ' "radix": 1, "rates": [1]}, {"form": "L", "operands": ["i"], "images": ["j"],'
+    ' "radix": 1, "rates": [%s]}]}' % (BIG, BIG)
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "document", [_big_line_step(BIG, 1, BIG), _LATE_BIG], ids=["first-step", "late-step"]
+)
+def test_eval_result_too_long_to_print_leaves_stdout_empty(tmp_path, capsys, fmt, document):
+    assert main(["eval", write(tmp_path, document), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot print the result: ")
+
+
 # JSON-shaped text: scenario documents whose leaves are any JSON value, and
 # some values no scenario reader should choke on.
 _KEYS = st.sampled_from(
