@@ -10,8 +10,9 @@ around the least mode, the union below it and the intersection above it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Sequence
+from fractions import Fraction
+from functools import reduce
 
 from .errors import DomainError, OperatorSpecError
 from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber
@@ -59,7 +60,4 @@ def common_carry_dfn(partials: Sequence[DiscreteFuzzyNumber]) -> DiscreteFuzzyNu
     for p in partials:
         if not isinstance(p, DiscreteFuzzyNumber):
             raise DomainError(f"expected a discrete fuzzy number, got {p!r}")
-    acc = partials[0]
-    for nxt in partials[1:]:
-        acc = _form_pair(acc, nxt)
-    return acc
+    return reduce(_form_pair, partials)

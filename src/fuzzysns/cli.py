@@ -111,8 +111,8 @@ def _trace_json(trace: Trace) -> list[str]:
 def _trace_csv(trace: Trace) -> list[str]:
     import csv
 
-    # writerow returns write's result: the row minus the "\n" that makes line feeds quoted.
-    row = csv.writer(SimpleNamespace(write=lambda line: line[:-1]), lineterminator="\n").writerow
+    # writerow returns write's result: the row minus the "\r\n" that makes both line breaks quoted.
+    row = csv.writer(SimpleNamespace(write=lambda line: line[:-2]), lineterminator="\r\n").writerow
     rows = [row(["step", "form", "field", "entity", "value"])]
     for step in trace.steps:
         for _, csv_name, _, entity_id, literal in _walk(step.result):

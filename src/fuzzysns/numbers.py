@@ -34,7 +34,7 @@ GradeLike = int | float | str | Fraction
 
 def _is_int(value) -> bool:
     """The one crisp-value rule: a plain ``int``, never a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_int(value, what: str) -> int:
@@ -260,6 +260,8 @@ TRIANGULAR = "triangular"
 
 
 def family(value: FuzzyScalar) -> str:
+    if type(value) is int:  # the common case, settled by one test
+        return CRISP
     if isinstance(value, TriangularFuzzyNumber):
         return TRIANGULAR
     if isinstance(value, DiscreteFuzzyNumber):
@@ -308,6 +310,8 @@ def lift_discrete(value: FuzzyScalar) -> DiscreteFuzzyNumber:
 
 def _lowest(value: FuzzyScalar) -> int:
     """The least value a crisp, triangular or discrete scalar can take."""
+    if type(value) is int:  # the common case, settled by one test
+        return value
     if isinstance(value, TriangularFuzzyNumber):
         return value.lower
     if isinstance(value, DiscreteFuzzyNumber):

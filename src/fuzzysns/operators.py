@@ -4,10 +4,10 @@ Line (L), distribution (D), fusion (F) and multi (M) are one algorithm over
 W >= 1 operands and V >= 1 images: floor a partial carry out of each operand
 over its radix, form a common carry from the partials (F and M only), subtract
 carry times radix for each operand's remainder, and give each image the carry
-times its conversion rate.  :func:`_apply` runs it over a small per-family
-arithmetic (crisp integers, discrete fuzzy numbers, triangular fuzzy numbers);
-``apply_*`` and ``crisp_*`` only shape their arguments for it.  Every call
-returns a :class:`TransformResult` holding what the application produced.
+times its conversion rate.  :func:`_transform` runs it over a small per-family
+arithmetic (crisp integers, discrete fuzzy numbers, triangular fuzzy numbers),
+reached from ``apply_*`` and ``crisp_*`` through :func:`_apply`'s checks and
+from ``scenario.run`` directly, in the family ``scenario.validate`` planned.
 
 Every slot (cardinals, radices, conversion rates) accepts crisp integers,
 discrete fuzzy numbers or triangular fuzzy numbers, with one restriction:
@@ -184,31 +184,42 @@ def _apply(
     options: TransformOptions,
     operand_ids: Sequence[str] | None, image_ids: Sequence[str] | None,
 ) -> TransformResult:
-    """Carry, common carry, remainders, transformants and images of one call.
-
-    ``fused`` is True for F and M: a common carry is formed even from a single
-    partial, and remainders always subtract it by extension.  Otherwise (L and
-    D, one operand) the partial carry is the carry and discrete remainders
-    follow ``options.remainder_mode``.
-    """
+    """One public call: every check, in order, then :func:`_transform` in the joint family."""
     if len(operands) != len(radices):
         raise OperatorSpecError(f"{len(operands)} operands but {len(radices)} radices")
     if len(images) != len(rates):
         raise OperatorSpecError(f"{len(images)} images but {len(rates)} rates")
     if not operands or not images:
         raise OperatorSpecError("an operator needs at least one operand and one image")
-    joint = joint_family((*operands, *images, *radices, *rates))
-    fam = _FAMILIES[joint]
+    fam = _FAMILIES[joint_family((*operands, *images, *radices, *rates))]
     op_ids = _ids(operand_ids, len(operands), "i")
     img_ids = _ids(image_ids, len(images), "k" if fused else "j")
     for n in radices:
         _check_radix(n)
-    for big_n in operands:
+    for big_n in operands:  # before the rates; _transform checks them again
         _check_natural(big_n, "operand cardinal")
     for r in rates:
         _check_natural(r, "conversion rate")
-    if joint == CRISP:
-        # A fuzzy call lets an image dip below zero; an all-crisp one does not.
+    return _transform(fam, fused, operands, images, radices, rates, options, op_ids, img_ids)
+
+
+def _transform(
+    fam: _Family, fused: bool, operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
+    radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar], options: TransformOptions,
+    op_ids: Sequence[str], img_ids: Sequence[str],
+) -> TransformResult:
+    """Carry, common carry, remainders, transformants and images of one call in ``fam``.
+
+    ``fused`` is True for F and M: a common carry is formed even from a single
+    partial, and remainders always subtract it by extension.  Otherwise (L and
+    D, one operand) the partial carry is the carry and discrete remainders
+    follow ``options.remainder_mode``.  Counts, ids, radices and rates come
+    checked, by :func:`_apply` or by ``scenario.validate``; the run-time
+    values, operands and the images of a crisp call, are checked here.
+    """
+    for big_n in operands:
+        _check_natural(big_n, "operand cardinal")
+    if fam is _FAMILIES[CRISP]:  # a fuzzy image may dip below zero, a crisp one may not
         for img in images:
             _check_natural(img, "image cardinal")
     # Lifted once each, after the checks, so an error names the value as given.
@@ -236,12 +247,7 @@ def _apply(
         q = transformants[img_id] = fam.mul(carry, fam.lift(r))
         new_images[img_id] = fam.add(fam.lift(img), q)
     return TransformResult(
-        partial_carries=partials,
-        common_carry=carry if fused else None,
-        remainders=remainders,
-        transformants=transformants,
-        new_image_cardinals=new_images,
-        warnings=tuple(warnings),
+        partials, carry if fused else None, remainders, transformants, new_images, tuple(warnings)
     )
 
 

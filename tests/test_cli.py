@@ -107,6 +107,26 @@ class TestEval:
         remainder_rows = [r for r in rows if r[2] == "remainder"]
         assert remainder_rows[0][4] == "{0|0.5, 1|1}"
 
+    def test_csv_round_trips_ids_with_line_breaks(self, tmp_path, capsys):
+        import csv as csv_module
+
+        scenario = Scenario(
+            {"c\rd": 7, "e\nf": 0}, [OperatorSpec(Form.L, ("c\rd",), ("e\nf",), (3,), (2,))]
+        )
+        code = main(["eval", write(tmp_path, scenario_to_json(scenario)), "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = list(csv_module.reader(io.StringIO(captured.out, newline="")))
+        assert rows == [
+            ["step", "form", "field", "entity", "value"],
+            ["0", "L", "partial_carry", "c\rd", "2"],
+            ["0", "L", "remainder", "c\rd", "1"],
+            ["0", "L", "transformant", "e\nf", "4"],
+            ["0", "L", "new_image", "e\nf", "4"],
+            ["", "", "final", "c\rd", "1"],
+            ["", "", "final", "e\nf", "4"],
+        ]
+
     def test_remainder_mode_flag_overrides(self, tmp_path, capsys):
         scenario = Scenario(
             {"i": dfn({5: "0.5", 7: 1}), "j": 0},

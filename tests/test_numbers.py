@@ -597,3 +597,44 @@ class TestNoGradeIsHashed:
         document = json.loads(scenario_to_json(scenario))
         assert document["entities"][0]["value"][1] == [5, "1/3"]
         assert document["steps"][0]["radix"] == [[2, "0.5"], [3, "1"]]
+
+
+class _Count(int):
+    """An ``int`` subclass: crisp wherever a plain ``int`` is."""
+
+
+@pytest.mark.parametrize(
+    "value,tag,lowest",
+    [
+        (0, numbers.CRISP, 0),
+        (7, numbers.CRISP, 7),
+        (-3, numbers.CRISP, -3),
+        (_Count(4), numbers.CRISP, 4),
+        (_Count(-2), numbers.CRISP, -2),
+        (dfn({-1: "0.5", 2: 1}), numbers.DISCRETE, -1),
+        (tri(2, 4, 9), numbers.TRIANGULAR, 2),
+    ],
+    ids=["zero", "int", "negative-int", "int-subclass", "negative-int-subclass",
+         "discrete", "triangular"],
+)
+def test_classification_of_scalars(value, tag, lowest):
+    assert numbers.family(value) == tag
+    assert numbers._lowest(value) == lowest
+    assert numbers._is_int(value) is (tag == numbers.CRISP)
+    if lowest < 0:
+        with pytest.raises(DomainError, match=re.escape(f"count must be >= 0, got {value}")):
+            numbers._check_natural(value, "count")
+    else:
+        assert numbers._check_natural(value, "count") is None
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None], ids=repr)
+def test_classification_refuses_bool_and_non_scalars(value):
+    assert numbers._is_int(value) is False
+    with pytest.raises(DomainError, match=re.escape(f"not a fuzzy scalar: {value!r}")):
+        numbers.family(value)
+    message = f"crisp value must be an integer, got {value!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        numbers._lowest(value)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        numbers._check_natural(value, "count")

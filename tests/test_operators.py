@@ -525,3 +525,47 @@ def test_crisp_radices_reach_the_family_arithmetic_lifted(
         called = called - {"dfn_mod"}
     assert {name for name, _ in radices} == called
     assert all(isinstance(radix, family) for _, radix in radices), radices
+
+
+# One fault per check, in the order the public operators run the checks.  Each
+# edits a valid M call; the message of the earlier check wins any pair.
+_VALID_M = {
+    "operands": [7, 5], "images": [0, 1], "radices": [2, 3], "rates": [1, 1],
+    "operand_ids": ["a", "b"], "image_ids": ["c", "d"],
+}
+_FAULTS = [
+    ("counts", lambda call: call["rates"].append(1),
+     OperatorSpecError, "2 images but 3 rates"),
+    ("mixed families",
+     lambda call: call.update(operands=[call["operands"][0], tri(1, 2, 3)],
+                              images=[call["images"][0], dfn({1: 1})]),
+     MixedFamilyError, "cannot mix discrete and triangular values in one operation"),
+    ("repeated ids", lambda call: call.update(operand_ids=["a", "a"]),
+     OperatorSpecError, "entity ids listed more than once: ['a']"),
+    ("radix below 1", lambda call: call["radices"].__setitem__(0, 0),
+     InvalidRadixError, "radix must be >= 1, got 0"),
+    ("negative operand", lambda call: call["operands"].__setitem__(0, -1),
+     DomainError, "operand cardinal must be >= 0, got -1"),
+    ("negative rate", lambda call: call["rates"].__setitem__(0, -1),
+     DomainError, "conversion rate must be >= 0, got -1"),
+    ("negative crisp image", lambda call: call["images"].__setitem__(0, -2),
+     DomainError, "image cardinal must be >= 0, got -2"),
+]
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [(i, j) for i in range(len(_FAULTS)) for j in range(i, len(_FAULTS))],
+    ids=[f"{_FAULTS[i][0]}+{_FAULTS[j][0]}"
+         for i in range(len(_FAULTS)) for j in range(i, len(_FAULTS))],
+)
+def test_the_earlier_check_names_a_two_fault_call(first, second):
+    call = {key: list(value) for key, value in _VALID_M.items()}
+    for fault in {first, second}:
+        _FAULTS[fault][1](call)
+    _, _, error, message = _FAULTS[first]
+    with pytest.raises(error) as caught:
+        apply_M(call.pop("operands"), call.pop("images"), call.pop("radices"),
+                call.pop("rates"), **call)
+    assert type(caught.value) is error
+    assert str(caught.value) == message

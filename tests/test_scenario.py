@@ -7,15 +7,25 @@ from conftest import dfn, tri
 from fuzzysns import (
     Diagnostic,
     Form,
+    FuzzySnsError,
     MixedFamilyError,
     OperatorSpec,
     Scenario,
     ScenarioValidationError,
     StepExecutionError,
     TransformOptions,
+    apply_D,
+    apply_F,
+    apply_L,
+    apply_M,
+    family,
+    joint_family,
     run,
     validate,
 )
+from fuzzysns import operators
+from fuzzysns import scenario as scenario_module
+from test_cli import random_scenario
 
 
 def line_step(operand, image, radix, rate, form=Form.L):
@@ -301,3 +311,86 @@ class TestFamilyFlow:
             except StepExecutionError as exc:
                 assert not isinstance(exc.cause, MixedFamilyError), (seed, exc)
         assert clean >= 50
+
+
+def _reference_step(step, state, options):
+    """The step through the public operator of its form, as ``run`` once dispatched it."""
+    operands = [state[e] for e in step.operands]
+    images = [state[e] for e in step.images]
+    if step.form == Form.L:
+        return apply_L(
+            operands[0], images[0], step.radices[0], step.rates[0],
+            options=options, operand_id=step.operands[0], image_id=step.images[0],
+        )
+    if step.form == Form.D:
+        return apply_D(
+            operands[0], images, step.radices[0], step.rates,
+            options=options, operand_id=step.operands[0], image_ids=step.images,
+        )
+    if step.form == Form.F:
+        return apply_F(
+            operands, images[0], step.radices, step.rates[0],
+            options=options, operand_ids=step.operands, image_id=step.images[0],
+        )
+    return apply_M(
+        operands, images, step.radices, step.rates,
+        options=options, operand_ids=step.operands, image_ids=step.images,
+    )
+
+
+class TestPlannedRun:
+    def test_run_equals_a_replay_through_the_public_operators(self):
+        rng = random.Random(2718)
+        seen = set()
+        for _ in range(400):
+            scenario = random_scenario(rng)
+            if validate(scenario):
+                continue
+            try:
+                trace, failure = run(scenario), None
+            except StepExecutionError as exc:
+                trace, failure = None, exc
+            state, warnings = dict(scenario.initial), []
+            for index, step in enumerate(scenario.steps):
+                try:
+                    result = _reference_step(step, state, scenario.options)
+                except (FuzzySnsError, ValueError) as exc:
+                    # run stops at the same step, for the same reason.
+                    assert failure is not None and failure.step == index
+                    assert type(failure.cause) is type(exc) and str(failure.cause) == str(exc)
+                    break
+                state.update(result.remainders)
+                state.update(result.new_image_cardinals)
+                warnings.extend(f"step {index}: {w}" for w in result.warnings)
+                options = scenario.options
+                seen.add((family(result.carry), options.remainder_mode, options.clamp_negative))
+                if trace is not None:
+                    assert trace.steps[index].result == result
+                    assert dict(trace.steps[index].state) == state
+            else:
+                assert failure is None
+                assert trace.final == state and list(trace.warnings) == warnings
+        # Every family in both remainder modes, clamped and not.
+        assert len(seen) == 12, sorted(seen)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_run_classifies_nothing_again(self, monkeypatch, seed):
+        scenario = _random_scenario(seed)
+        calls = {"joint_family": 0, "operators._check_radix": 0, "scenario._check_radix": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(operators, "joint_family", counting("joint_family", joint_family))
+        for module in (operators, scenario_module):
+            name = f"{module.__name__.rsplit('.', 1)[1]}._check_radix"
+            monkeypatch.setattr(module, "_check_radix", counting(name, module._check_radix))
+        trace = run(scenario)
+        radices = sum(len(step.radices) for step in scenario.steps)
+        assert len(trace.steps) == len(scenario.steps)
+        assert calls == {
+            "joint_family": 0, "operators._check_radix": 0, "scenario._check_radix": radices,
+        }
