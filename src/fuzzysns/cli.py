@@ -46,6 +46,14 @@ _FIELDS = (
 )
 
 
+def _text_id(entity_id: str) -> str:
+    """An id as the text trace writes it: as given, or as a JSON string when it does not print.
+
+    So an id that holds a line break cannot split a step's or a final entry's line.
+    """
+    return entity_id if entity_id.isprintable() else _json_str(entity_id)
+
+
 def _walk(result: TransformResult):
     """(field, CSV name, text label, entity id, literal) of each value, in output order.
 
@@ -55,7 +63,7 @@ def _walk(result: TransformResult):
         value = getattr(result, name)
         items = value.items() if isinstance(value, dict) else [(None, value)]
         for entity_id, scalar in items:
-            label = sole if len(items) == 1 and sole else prefix + entity_id
+            label = sole if len(items) == 1 and sole else prefix + _text_id(entity_id)
             literal = None if scalar is None else format_scalar(scalar)
             yield name, csv_name, label, entity_id, literal
 
@@ -70,7 +78,7 @@ def _trace_text(trace: Trace) -> list[str]:
         lines.append(f"step {step.index} {step.spec.form.value}: " + " ".join(parts))
     lines.append("final:")
     for entity_id, cardinal in trace.final.items():
-        lines.append(f"  {entity_id} = {format_scalar(cardinal)}")
+        lines.append(f"  {_text_id(entity_id)} = {format_scalar(cardinal)}")
     return lines
 
 

@@ -9,7 +9,8 @@ Scenario files are JSON documents; floats inside them are read as exact
 fractions, never binary floats.  Each record (document, entity, step,
 options) is read against one key table, :func:`_record`.  Option keys and
 defaults come from :class:`TransformOptions`; every discrete value reaches
-:class:`DiscreteFuzzyNumber` as pairs, which alone rules on duplicates.
+:class:`DiscreteFuzzyNumber` as pairs, which alone rules on duplicate support
+values.  A key written twice in one JSON object is refused as it is read.
 """
 
 from __future__ import annotations
@@ -216,14 +217,27 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key written twice in it is a ParseError."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"key {key!r} appears more than once in one JSON object")
+            seen.add(key)
+    return members
+
+
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario document; malformed JSON reports line and column.
 
-    Nesting too deep to read, numbers too long to convert and exponents beyond
-    ``MAX_EXPONENT`` are parse errors too.
+    Nesting too deep to read, numbers too long to convert, exponents beyond
+    ``MAX_EXPONENT`` and a key repeated within one object are parse errors too.
     """
     try:
-        return _scenario_from_doc(json.loads(text, parse_float=_fraction_from_text))
+        doc = json.loads(text, parse_float=_fraction_from_text, object_pairs_hook=_unique_keys)
+        return _scenario_from_doc(doc)
     except ParseError:
         raise
     except json.JSONDecodeError as exc:

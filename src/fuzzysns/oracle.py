@@ -4,15 +4,18 @@ Nothing here shares arithmetic helpers with the production modules: the
 sup-min evaluator re-enumerates every support pair into buckets, and the
 alpha-cut checker builds its interval arithmetic inline.  Agreement between
 these and the production paths is therefore evidence, not tautology.
+:func:`equivalence_suite` re-derives L, D, F and M calls alike; the one value
+it takes from production is the common carry of F and M, whose formation
+``tests/test_carry.py`` and the CLI's ``carry`` checks in CI pin instead.
 Performance is a non-goal; the evaluator is quadratic in support size.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
 from collections.abc import Callable, Sequence
+from operator import add, floordiv, mod, mul, sub
 
 from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber
 
@@ -93,93 +96,62 @@ def random_dfn(
 def equivalence_suite(seed: int, cases: int) -> tuple[int, int]:
     """Compare the production sup-min paths against this oracle on random cases.
 
-    Covers the raw binary combination (add/sub/mul), carry division and the
-    correlated remainder (the extension of two-place mod) over crisp and
-    discrete radices, and every sup-min step of discrete line and fusion
-    applications: carries, transformants, image cardinals, and extension-mode
-    remainders (for fusion, relative to the formed common carry).  Returns
-    (passed, total); deterministic for a given seed.
+    Each case is one of three kinds: a raw binary combination (add/sub/mul);
+    carry division or the correlated remainder (the extensions of two-place
+    floor division and mod) over a crisp or discrete radix; or one L, D, F or
+    M call in extension mode, whose partial carries, remainders, transformants
+    and image cardinals one reference path re-derives for every form.  For F
+    and M that path takes the common carry from the result: its formation is
+    pinned by ``tests/test_carry.py`` and the CLI's ``carry`` checks in CI.
+    Returns (passed, total); deterministic for a given seed.
     """
-    from .numbers import dfn_floor_div, dfn_mod, dfn_zadeh_binary, lift_discrete
-    from .operators import TransformOptions, apply_F, apply_L
+    from .numbers import dfn_floor_div, dfn_mod, dfn_zadeh_binary
+    from .operators import TransformOptions, apply_D, apply_F, apply_L, apply_M
 
     rng = random.Random(seed)
     extension = TransformOptions(remainder_mode="extension")
+    forms = (apply_L, apply_D, apply_F, apply_M)
 
-    def pick_radix():
-        if rng.random() < 0.5:
-            return random_dfn(rng, max_size=3, low=1, high=6)
-        return rng.randint(1, 6)
+    def lift(value):
+        return value if isinstance(value, DiscreteFuzzyNumber) else DiscreteFuzzyNumber({value: 1})
 
-    def pick_rate():
+    def pick(low: int, high: int):
+        """A crisp value in [low, high] or, half the time, a small discrete one."""
         if rng.random() < 0.5:
-            return random_dfn(rng, max_size=3, low=0, high=5)
-        return rng.randint(0, 5)
+            return random_dfn(rng, max_size=3, low=low, high=high)
+        return rng.randint(low, high)
 
     passed = 0
     for _ in range(cases):
-        kind = rng.randrange(5)
-        ok = True
+        kind = rng.randrange(3)
         if kind == 0:
-            op = rng.choice((operator.add, operator.sub, operator.mul))
+            op = rng.choice((add, sub, mul))
             a, b = random_dfn(rng), random_dfn(rng)
             ok = dfn_zadeh_binary(op, a, b) == zadeh_oracle(op, a, b)
         elif kind == 1:
-            a = random_dfn(rng)
-            n = pick_radix()
-            ok = dfn_floor_div(a, n) == zadeh_oracle(
-                operator.floordiv, a, lift_discrete(n)
-            )
-        elif kind == 2:
-            a = random_dfn(rng)
-            n = pick_radix()
-            ok = dfn_mod(a, n) == zadeh_oracle(operator.mod, a, lift_discrete(n))
-        elif kind == 3:
-            cardinal = random_dfn(rng)
-            radix = pick_radix()
-            rate = pick_rate()
-            image = random_dfn(rng, max_size=3) if rng.random() < 0.5 else rng.randint(0, 20)
-            result = apply_L(cardinal, image, radix, rate, options=extension)
-            carry = zadeh_oracle(operator.floordiv, cardinal, lift_discrete(radix))
-            transformant = zadeh_oracle(operator.mul, carry, lift_discrete(rate))
-            new_image = zadeh_oracle(operator.add, lift_discrete(image), transformant)
-            remainder = zadeh_oracle(
-                operator.sub,
-                cardinal,
-                zadeh_oracle(operator.mul, carry, lift_discrete(radix)),
-            )
-            ok = (
-                result.carry == carry
-                and result.transformant == transformant
-                and result.new_image == new_image
-                and result.remainder == remainder
-            )
-        else:
-            cardinals = [random_dfn(rng, max_size=6), random_dfn(rng, max_size=6)]
-            radices = [pick_radix(), pick_radix()]
-            rate = pick_rate()
-            image = rng.randint(0, 20)
-            result = apply_F(cardinals, image, radices, rate, options=extension)
-            carries = [
-                zadeh_oracle(operator.floordiv, big_n, lift_discrete(n))
-                for big_n, n in zip(cardinals, radices)
+            production, op = rng.choice(((dfn_floor_div, floordiv), (dfn_mod, mod)))
+            a, n = random_dfn(rng), pick(1, 6)
+            ok = production(a, n) == zadeh_oracle(op, a, lift(n))
+        else:  # one L, D, F or M call: W = 1 or 2 operands, V = 1 or 2 images
+            form = rng.randrange(4)
+            w, v = form // 2 + 1, form % 2 + 1
+            cardinals = [random_dfn(rng, max_size=15 if w == 1 else 6) for _ in range(w)]
+            radices, rates = [pick(1, 6) for _ in range(w)], [pick(0, 5) for _ in range(v)]
+            images = [pick(0, 20) for _ in range(v)]
+            args = (xs[0] if len(xs) == 1 else xs for xs in (cardinals, images, radices, rates))
+            result = forms[form](*args, options=extension)
+            carries = [zadeh_oracle(floordiv, c, lift(n)) for c, n in zip(cardinals, radices)]
+            carry = carries[0] if w == 1 else result.common_carry
+            transformants = [zadeh_oracle(mul, carry, lift(r)) for r in rates]
+            expected = [
+                carries,
+                [zadeh_oracle(sub, c, zadeh_oracle(mul, carry, lift(n)))
+                 for c, n in zip(cardinals, radices)],
+                transformants,
+                [zadeh_oracle(add, lift(i), q) for i, q in zip(images, transformants)],
             ]
-            common = result.common_carry  # formation is checked elsewhere
-            transformant = zadeh_oracle(operator.mul, common, lift_discrete(rate))
-            new_image = zadeh_oracle(operator.add, lift_discrete(image), transformant)
-            remainders = [
-                zadeh_oracle(
-                    operator.sub,
-                    big_n,
-                    zadeh_oracle(operator.mul, common, lift_discrete(n)),
-                )
-                for big_n, n in zip(cardinals, radices)
-            ]
-            ok = (
-                list(result.partial_carries.values()) == carries
-                and result.transformant == transformant
-                and result.new_image == new_image
-                and list(result.remainders.values()) == remainders
-            )
+            got = [list(m.values()) for m in (result.partial_carries, result.remainders,
+                                              result.transformants, result.new_image_cardinals)]
+            ok = got == expected and (w == 2 or result.common_carry is None)
         passed += ok
     return passed, cases

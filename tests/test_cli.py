@@ -127,6 +127,22 @@ class TestEval:
             ["", "", "final", "e\nf", "4"],
         ]
 
+    def test_text_trace_quotes_ids_that_do_not_print(self, tmp_path, capsys):
+        scenario = Scenario(
+            {"c\rd": 7, "e\nf": 0, "g h": 1},
+            [OperatorSpec(Form.L, ("c\rd",), ("e\nf",), (3,), (2,))],
+        )
+        code = main(["eval", write(tmp_path, scenario_to_json(scenario))])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == [
+            "step 0 L: p=2 rem=1 q=4 N'_\"e\\nf\"=4",
+            "final:",
+            '  "c\\rd" = 1',
+            '  "e\\nf" = 4',
+            "  g h = 1",
+        ]
+
     def test_remainder_mode_flag_overrides(self, tmp_path, capsys):
         scenario = Scenario(
             {"i": dfn({5: "0.5", 7: 1}), "j": 0},

@@ -240,3 +240,22 @@ def test_key_table_names_the_record(doc, message):
     with pytest.raises(ParseError) as excinfo:
         scenario_from_json(json.dumps(doc))
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"entities": [{"id": "d", "value": {"6": "0.5", "6": 1}}]}', "6"),
+        ('{"entities": [{"id": "a", "value": 3, "value": 5}]}', "value"),
+        (
+            '{"entities": [{"id": "a", "value": 7}, {"id": "b", "value": 0}],'
+            ' "steps": [{"form": "L", "operands": ["a"], "images": ["b"],'
+            ' "radix": 3, "radix": 2, "rates": [1]}]}',
+            "radix",
+        ),
+    ],
+    ids=["mapping-value", "entity", "step"],
+)
+def test_key_repeated_in_one_object_is_refused(text, key):
+    with pytest.raises(ParseError, match=f"^key '{key}' appears more than once"):
+        scenario_from_json(text)

@@ -53,3 +53,38 @@ def test_equivalence_suite_is_deterministic_and_green():
     first = equivalence_suite(7, 300)
     second = equivalence_suite(7, 300)
     assert first == second == (300, 300)
+
+
+def test_equivalence_suite_calls_every_operator_form(monkeypatch):
+    from fuzzysns import operators
+
+    calls = dict.fromkeys("LDFM", 0)
+    for form in calls:
+        def counted(*args, _form=form, _apply=getattr(operators, f"apply_{form}"), **kwargs):
+            calls[_form] += 1
+            return _apply(*args, **kwargs)
+
+        monkeypatch.setattr(operators, f"apply_{form}", counted)
+    assert equivalence_suite(7, 300) == (300, 300)
+    assert all(calls.values()), calls
+
+
+def test_equivalence_suite_catches_swapped_image_cardinals(monkeypatch):
+    from fuzzysns import operators
+
+    transform = operators._transform
+
+    def swapped(*args, **kwargs):
+        result = transform(*args, **kwargs)
+        ids, cardinals = list(result.new_image_cardinals), list(result.new_image_cardinals.values())
+        if len(ids) < 2:
+            return result
+        cardinals[0], cardinals[1] = cardinals[1], cardinals[0]
+        return operators.TransformResult(
+            result.partial_carries, result.common_carry, result.remainders,
+            result.transformants, dict(zip(ids, cardinals)), result.warnings,
+        )
+
+    monkeypatch.setattr(operators, "_transform", swapped)
+    passed, total = equivalence_suite(0, 300)
+    assert total == 300 and passed < 300
