@@ -197,12 +197,10 @@ class DiscreteFuzzyNumber(_Record):
     __slots__ = ("points",)
 
     def __init__(self, points: Mapping[int, GradeLike] | Iterable[tuple[int, GradeLike]]):
-        self._init(points)
-        self.__post_init__()
+        self.__post_init__(points)
 
-    def __post_init__(self):
-        raw = self.points
-        items: Iterable = raw.items() if isinstance(raw, Mapping) else raw
+    def __post_init__(self, points):
+        items: Iterable = points.items() if isinstance(points, Mapping) else points
         seen: dict[int, Fraction] = {}
         for value, grade in items:
             value = _as_int(value, "support value")
@@ -213,7 +211,7 @@ class DiscreteFuzzyNumber(_Record):
             raise DomainError("support must be nonempty")
         if not any(g == 1 for g in seen.values()):
             raise DomainError("discrete fuzzy number must be normal (some grade == 1)")
-        object.__setattr__(self, "points", tuple(sorted(seen.items())))
+        self._init(tuple(sorted(seen.items())))
 
     @classmethod
     def _trusted(cls, out: dict[int, Fraction]) -> DiscreteFuzzyNumber:

@@ -165,14 +165,23 @@ _FAMILIES = {
 
 # --- the one operator algorithm ----------------------------------------------
 
+def _repeated(ids: Sequence) -> list:
+    """The one repeated-id rule: each id listed more than once, in first-appearance order."""
+    counts = dict.fromkeys(ids, 0)
+    if len(counts) == len(ids):
+        return []
+    for i in ids:
+        counts[i] += 1
+    return [i for i, n in counts.items() if n > 1]
+
+
 def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
     if ids is None:
         return (prefix,) if count == 1 else tuple(f"{prefix}{k}" for k in range(1, count + 1))
     out = tuple(ids)
     if len(out) != count:
         raise OperatorSpecError(f"{len(out)} entity ids for {count} values")
-    if len(set(out)) != count:
-        repeated = list(dict.fromkeys(i for i in out if out.count(i) > 1))
+    if repeated := _repeated(out):
         raise OperatorSpecError(f"entity ids listed more than once: {repeated}")
     return out
 

@@ -19,21 +19,18 @@ applies without classifying the step's values again.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from enum import Enum
-from functools import partial
 
 from .errors import (
     DomainError,
     FuzzySnsError,
-    InvalidRadixError,
     MixedFamilyError,
     ScenarioValidationError,
     StepExecutionError,
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
-from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _transform
+from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _repeated, _transform
 
 # Not called here: run applies each step through _transform.  The benchmark's
 # tracer (perfbench/tracer.py) wraps these names and fails when one is missing.
@@ -134,16 +131,16 @@ class Trace(_Record):
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All reasons the scenario cannot run; empty list means runnable.
 
-    One pass classifies each initial cardinal, radix and rate once.  A step
-    moves its known entities into its joint family, as ``run`` writes them,
-    so a mix that an earlier step makes is reported before any step runs.  A
-    value that is not a fuzzy scalar is reported on its own, not as a mix.
+    One pass classifies each initial cardinal, radix and rate once and follows each
+    entity's family as ``run`` writes it, so a mix made by an earlier step is reported
+    up front; a non-scalar value is reported on its own.  Ids may be any hashable
+    values; overlaps and repeats list them in first-appearance order, as ``apply_*`` do.
     """
     return _plan(scenario)[0]
 
 
 def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
-    """:func:`validate`'s diagnostics, and the plan for :func:`run`: each step's joint family."""
+    """:func:`validate`'s diagnostics and :func:`run`'s plan, each step's joint family."""
     out: list[Diagnostic] = []
     joints: list[str] = []
     families: dict[str, str | None] = {}
@@ -164,28 +161,24 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
         if len(step.rates) != v:
             out.append(Diagnostic(index, f"{len(step.rates)} rates for {v} images"))
         entities = (*step.operands, *step.images)
-        for entity_id in entities:
-            if entity_id not in families:
-                out.append(Diagnostic(index, f"unknown entity '{entity_id}'"))
-        overlap = set(step.operands) & set(step.images)
-        if overlap:
-            out.append(Diagnostic(index, f"operand and image entities overlap: {sorted(overlap)}"))
+        out += [Diagnostic(index, f"unknown entity '{e}'") for e in entities if e not in families]
+        if shared := set(step.images).intersection(step.operands):
+            overlap = [e for e in dict.fromkeys(step.operands) if e in shared]
+            out.append(Diagnostic(index, f"operand and image entities overlap: {overlap}"))
         for role, ids in (("operand", step.operands), ("image", step.images)):
-            if len(set(ids)) < len(ids):
-                repeated = sorted(e for e, n in Counter(ids).items() if n > 1)
+            if repeated := _repeated(ids):
                 out.append(Diagnostic(index, f"{role} entities listed more than once: {repeated}"))
         tags = [families.get(e) for e in entities]
-        rules = [("radix", n, _check_radix) for n in step.radices]
-        rules += [("rate", r, partial(_check_natural, what="conversion rate")) for r in step.rates]
-        for what, value, rule in rules:
+        for k, value in enumerate((*step.radices, *step.rates)):
+            what = "radix" if k < len(step.radices) else "rate"
             try:
                 tags.append(family(value))
             except DomainError:
                 out.append(Diagnostic(index, f"{what} {value!r} is not a fuzzy scalar"))
                 continue
             try:
-                rule(value)
-            except (DomainError, InvalidRadixError) as exc:
+                _check_natural(value, "conversion rate") if what == "rate" else _check_radix(value)
+            except ValueError as exc:  # also an int too long to print in the message
                 out.append(Diagnostic(index, str(exc)))
         try:
             joint = _join_families(filter(None, tags))
@@ -198,32 +191,31 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
 
 
 def run(scenario: Scenario) -> Trace:
-    """Apply every step in order, threading the multeity state through.
+    """Apply every step in order; each entity's write history is the one store.
 
-    Raises ScenarioValidationError up front if validation fails, and
-    StepExecutionError (with the step index) if an operator rejects its
-    inputs mid-run or a value grows too long to convert to text.
+    Operands, images, step states and ``Trace.final`` read their values there.
+    Raises ScenarioValidationError if validation fails, StepExecutionError
+    (with the step index) if a step fails or a value grows too long for text.
     """
     diagnostics, joints = _plan(scenario)
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
-    state: Multeity = dict(scenario.initial)
-    history = {entity_id: ([-1], [value]) for entity_id, value in state.items()}
+    history = {entity_id: ([-1], [value]) for entity_id, value in scenario.initial.items()}
     trace_steps: list[TraceStep] = []
     warnings: list[str] = []
     for index, (step, joint) in enumerate(zip(scenario.steps, joints)):
         try:
             result = _transform(
                 _FAMILIES[joint], step.form in (Form.F, Form.M),
-                [state[e] for e in step.operands], [state[e] for e in step.images],
+                [history[e][1][-1] for e in step.operands],
+                [history[e][1][-1] for e in step.images],
                 step.radices, step.rates, scenario.options, step.operands, step.images,
             )
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
         for entity_id, value in (*result.remainders.items(), *result.new_image_cardinals.items()):
-            state[entity_id] = value
             history[entity_id][0].append(index)
             history[entity_id][1].append(value)
         warnings.extend(f"step {index}: {w}" for w in result.warnings)
         trace_steps.append(TraceStep(index, step, result, _State(history, index)))
-    return Trace(tuple(trace_steps), state, tuple(warnings))
+    return Trace(tuple(trace_steps), {e: h[1][-1] for e, h in history.items()}, tuple(warnings))

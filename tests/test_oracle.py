@@ -88,3 +88,14 @@ def test_equivalence_suite_catches_swapped_image_cardinals(monkeypatch):
     monkeypatch.setattr(operators, "_transform", swapped)
     passed, total = equivalence_suite(0, 300)
     assert total == 300 and passed < 300
+
+
+def test_equivalence_suite_catches_straight_triangular_division(monkeypatch):
+    from fuzzysns import operators
+
+    def straight(num, div):  # pairs the divisor's bounds straight, not in reverse
+        return tri(num.lower // div.lower, num.mode // div.mode, num.upper // div.upper)
+
+    monkeypatch.setattr(operators, "tfn_floor_div", straight)
+    passed, total = equivalence_suite(0, 300)
+    assert total == 300 and passed < 300

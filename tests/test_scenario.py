@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from fuzzysns import (
     FuzzySnsError,
     MixedFamilyError,
     OperatorSpec,
+    OperatorSpecError,
     Scenario,
     ScenarioValidationError,
     StepExecutionError,
@@ -394,3 +396,91 @@ class TestPlannedRun:
         assert calls == {
             "joint_family": 0, "operators._check_radix": 0, "scenario._check_radix": radices,
         }
+
+
+class TestHashableIds:
+    """``validate`` reports on ids of any hashable type, in first-appearance order."""
+
+    def test_mixed_type_repeats_are_diagnostics(self):
+        step = OperatorSpec(Form.M, ("a", 1, "a", 1), ("b", "c"), (2, 2, 2, 2), (1, 1))
+        s = Scenario({"a": 7, "b": 0, "c": 0}, [step])
+        assert validate(s) == [
+            Diagnostic(0, "unknown entity '1'"),
+            Diagnostic(0, "unknown entity '1'"),
+            Diagnostic(0, "operand entities listed more than once: ['a', 1]"),
+        ]
+        with pytest.raises(ScenarioValidationError):
+            run(s)
+
+    def test_mixed_type_overlap_is_a_diagnostic(self):
+        step = OperatorSpec(Form.M, ("a", 1), (1, "a"), (2, 2), (1, 1))
+        s = Scenario({"a": 7, "b": 0}, [step])
+        assert "operand and image entities overlap: ['a', 1]" in [d.message for d in validate(s)]
+
+    def test_validate_lists_repeats_in_the_operators_order(self):
+        ids = ("b", "a", "b", "a")
+        with pytest.raises(OperatorSpecError) as excinfo:
+            apply_M([7] * 4, [0, 0], [2] * 4, [1, 1], operand_ids=ids)
+        s = Scenario({"a": 7, "b": 9, "c": 0, "d": 0},
+                     [OperatorSpec(Form.M, ids, ("c", "d"), (2,) * 4, (1, 1))])
+        assert str(excinfo.value) == "entity ids listed more than once: ['b', 'a']"
+        assert [d.message for d in validate(s)] == [
+            "operand entities listed more than once: ['b', 'a']"
+        ]
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_odd_ids_and_scalars_never_raise_from_validate(self, chunk):
+        for seed in range(500 * chunk, 500 * (chunk + 1)):
+            scenario = _odd_scenario(random.Random(f"odd-ids-{seed}"))
+            diagnostics = validate(scenario)
+            assert all(isinstance(d, Diagnostic) for d in diagnostics), seed
+            try:
+                run(scenario)
+            except (ScenarioValidationError, StepExecutionError):
+                pass
+
+
+# Hashable ids that are not nonempty strings; 1 and True are one dict key.
+_ODD_IDS = ("", 1, True, None, 2.0, (1,))
+# Values no slot accepts, or accepts only when they are at least 0 or 1.
+_ODD_SCALARS = (-1, 0, True, 1.5, "2", None, Fraction(1, 2), -(10**5000), tri(-2, 0, 1))
+
+
+def _odd_scalar(rng, odd, fuzzy, low):
+    if rng.random() < odd:
+        return rng.choice(_ODD_SCALARS)
+    return _random_value(rng, rng.choice(("crisp", fuzzy)), low)
+
+
+def _odd_scenario(rng):
+    """A library-built scenario whose ids and values a document could not hold.
+
+    Half the draws take ids from ``_ODD_IDS`` as well as from six strings, so
+    an id may be odd, unknown, repeated or shared between operands and images.  Any
+    value may be one of ``_ODD_SCALARS``, and one step in four has a random
+    valence and radix and rate counts off by one; the rest can run.
+    """
+    names = ["a", "b", "c", "d", "e", "f"]
+    pool = names + list(_ODD_IDS) if rng.random() < 0.5 else names
+    odd = rng.choice((0.0, 0.05, 0.3))
+    fuzzy = rng.choice(("discrete", "triangular"))
+    known = names + rng.sample(pool[len(names):], rng.randint(0, len(pool) - len(names)))
+    initial = {e: _odd_scalar(rng, odd, fuzzy, 0) for e in known}
+    steps = []
+    for _ in range(rng.randint(1, 4)):
+        form = rng.choice(list(Form))
+        w = 1 if form in (Form.L, Form.D) else rng.randint(2, 3)
+        v = 1 if form in (Form.L, Form.F) else rng.randint(2, 3)
+        ids = rng.sample(pool, w + v)
+        counts = (w, v)
+        if rng.random() < 0.25:
+            w, v = rng.randint(1, 3), rng.randint(1, 3)
+            ids = [rng.choice(pool) for _ in range(w + v)]
+            counts = (max(0, w + rng.randint(-1, 1)), max(0, v + rng.randint(-1, 1)))
+        steps.append(OperatorSpec(
+            form, ids[:w], ids[w:],
+            [_odd_scalar(rng, odd, fuzzy, 1) for _ in range(counts[0])],
+            [_odd_scalar(rng, odd, fuzzy, 0) for _ in range(counts[1])],
+        ))
+    options = TransformOptions(rng.choice(("correlated", "extension")), rng.random() < 0.5)
+    return Scenario(initial, steps, options)
