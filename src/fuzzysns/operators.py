@@ -175,6 +175,16 @@ def _repeated(ids: Sequence) -> list:
     return [i for i, n in counts.items() if n > 1]
 
 
+def _shown(value, show=repr) -> str:
+    """``show(value)`` for a message; an int too long for ``str`` shows its size instead."""
+    try:
+        return show(value)
+    except ValueError:  # past the int digit limit, alone or among a list's ids
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
+        return f"int of {value.bit_length()} bits" if isinstance(value, int) else "a long value"
+
+
 def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
     if ids is None:
         return (prefix,) if count == 1 else tuple(f"{prefix}{k}" for k in range(1, count + 1))
@@ -182,7 +192,7 @@ def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
     if len(out) != count:
         raise OperatorSpecError(f"{len(out)} entity ids for {count} values")
     if repeated := _repeated(out):
-        raise OperatorSpecError(f"entity ids listed more than once: {repeated}")
+        raise OperatorSpecError(f"entity ids listed more than once: {_shown(repeated)}")
     return out
 
 
@@ -248,7 +258,7 @@ def _transform(
         if low < 0 and options.clamp_negative:
             rem = fam.clamp(rem)
         elif low < 0:
-            warnings.append(f"remainder for '{op_id}' " + fam.negative.format(low))
+            warnings.append(f"remainder for '{_shown(op_id, str)}' " + fam.negative.format(low))
         remainders[op_id] = rem
     transformants: dict[str, FuzzyScalar] = {}
     new_images: dict[str, FuzzyScalar] = {}

@@ -30,7 +30,7 @@ from .errors import (
     StepExecutionError,
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
-from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _repeated, _transform
+from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _repeated, _shown, _transform
 
 # Not called here: run applies each step through _transform.  The benchmark's
 # tracer (perfbench/tracer.py) wraps these names and fails when one is missing.
@@ -133,8 +133,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
     One pass classifies each initial cardinal, radix and rate once and follows each
     entity's family as ``run`` writes it, so a mix made by an earlier step is reported
-    up front; a non-scalar value is reported on its own.  Ids may be any hashable
-    values; overlaps and repeats list them in first-appearance order, as ``apply_*`` do.
+    up front; a non-scalar value is reported on its own.  Ids may be any values (an
+    unhashable one is an unknown entity); overlaps and repeats list them in
+    first-appearance order, as ``apply_*`` do.
     """
     return _plan(scenario)[0]
 
@@ -146,12 +147,13 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
     families: dict[str, str | None] = {}
     for entity_id, cardinal in scenario.initial.items():
         if not isinstance(entity_id, str) or not entity_id:
-            out.append(Diagnostic(None, f"entity id {entity_id!r} must be a nonempty string"))
+            message = f"entity id {_shown(entity_id)} must be a nonempty string"
+            out.append(Diagnostic(None, message))
         try:
             families[entity_id] = family(cardinal)
         except DomainError:
             families[entity_id] = None
-            out.append(Diagnostic(None, f"entity {entity_id!r} has an invalid cardinal"))
+            out.append(Diagnostic(None, f"entity {_shown(entity_id)} has an invalid cardinal"))
     for index, step in enumerate(scenario.steps):
         w, v = len(step.operands), len(step.images)
         if not valence_matches(step.form, w, v):
@@ -161,13 +163,23 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
         if len(step.rates) != v:
             out.append(Diagnostic(index, f"{len(step.rates)} rates for {v} images"))
         entities = (*step.operands, *step.images)
-        out += [Diagnostic(index, f"unknown entity '{e}'") for e in entities if e not in families]
-        if shared := set(step.images).intersection(step.operands):
-            overlap = [e for e in dict.fromkeys(step.operands) if e in shared]
-            out.append(Diagnostic(index, f"operand and image entities overlap: {overlap}"))
-        for role, ids in (("operand", step.operands), ("image", step.images)):
-            if repeated := _repeated(ids):
-                out.append(Diagnostic(index, f"{role} entities listed more than once: {repeated}"))
+        try:
+            out += [Diagnostic(index, f"unknown entity '{_shown(e, str)}'")
+                    for e in entities if e not in families]
+        except TypeError:  # an unhashable id is unknown, and the set-based checks skip the step
+            names = [*families]  # compared by ==, which needs no hash
+            out += [Diagnostic(index, f"unknown entity '{_shown(e, str)}'")
+                    for e in entities if e not in names]
+            entities = [e for e in entities if e in names]
+        else:
+            if shared := set(step.images).intersection(step.operands):
+                overlap = [e for e in dict.fromkeys(step.operands) if e in shared]
+                message = f"operand and image entities overlap: {_shown(overlap)}"
+                out.append(Diagnostic(index, message))
+            for role, ids in (("operand", step.operands), ("image", step.images)):
+                if repeated := _repeated(ids):
+                    message = f"{role} entities listed more than once: {_shown(repeated)}"
+                    out.append(Diagnostic(index, message))
         tags = [families.get(e) for e in entities]
         for k, value in enumerate((*step.radices, *step.rates)):
             what = "radix" if k < len(step.radices) else "rate"

@@ -99,3 +99,42 @@ def test_equivalence_suite_catches_straight_triangular_division(monkeypatch):
     monkeypatch.setattr(operators, "tfn_floor_div", straight)
     passed, total = equivalence_suite(0, 300)
     assert total == 300 and passed < 300
+
+
+def test_equivalence_suite_catches_a_larger_mode_common_carry(monkeypatch):
+    from fuzzysns import carry
+
+    def larger_mode(a, b):  # the pair rule formed around the larger of the two modes
+        grades_a, grades_b = dict(a.points), dict(b.points)
+        if grades_a.keys().isdisjoint(grades_b):
+            return a if a.mode >= b.mode else b
+        top = max(a.mode, b.mode)
+        out = {v: max(grades_a.get(v, 0), grades_b.get(v, 0))
+               for v in grades_a.keys() | grades_b.keys() if v < top}
+        out.update((v, min(grades_a[v], grades_b[v])) for v in grades_a.keys() & grades_b.keys()
+                   if v > top)
+        return dfn({**out, top: 1})
+
+    monkeypatch.setattr(carry, "_form_pair", larger_mode)
+    passed, total = equivalence_suite(0, 300)
+    assert total == 300 and passed < 300
+
+
+def test_equivalence_suite_catches_a_discrete_clamp_against_one(monkeypatch):
+    from fuzzysns import operators
+    from fuzzysns.numbers import DISCRETE, dfn_zadeh_binary
+
+    def clamp_to_one(value):
+        return dfn_zadeh_binary(max, value, dfn({1: 1}))
+
+    monkeypatch.setattr(operators._FAMILIES[DISCRETE], "clamp", clamp_to_one)
+    passed, total = equivalence_suite(0, 300)
+    assert total == 300 and passed < 300
+
+
+def test_equivalence_suite_catches_a_correlated_remainder_by_floor_division(monkeypatch):
+    from fuzzysns import numbers, operators
+
+    monkeypatch.setattr(operators, "dfn_mod", numbers.dfn_floor_div)
+    passed, total = equivalence_suite(0, 300)
+    assert total == 300 and passed < 300

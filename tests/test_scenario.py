@@ -440,6 +440,40 @@ class TestHashableIds:
                 pass
 
 
+class TestIdsThatCannotBeHashedOrPrinted:
+    """``validate`` and the operators name any id; an int too long for ``str`` by its size."""
+
+    def test_unhashable_step_ids_are_unknown_entities(self):
+        steps = [
+            OperatorSpec(Form.L, (["a"],), ("b",), (2,), (1,)),
+            OperatorSpec(Form.F, ("a", ("a", ["x"])), ("b",), (2, 2), (1,)),
+        ]
+        s = Scenario({"a": 7, "b": 0}, steps)
+        assert validate(s) == [
+            Diagnostic(0, "unknown entity '['a']'"),
+            Diagnostic(1, "unknown entity '('a', ['x'])'"),
+        ]
+        with pytest.raises(ScenarioValidationError):
+            run(s)
+
+    def test_int_ids_too_long_for_str_show_their_size(self):
+        big = 10**5000
+        step = OperatorSpec(Form.F, (big, big), ("c",), (2, 2), (1,))
+        assert [str(d) for d in validate(Scenario({big: 1, "b": 0}, [step]))] == [
+            "entity id int of 16610 bits must be a nonempty string",
+            "step 0: unknown entity 'c'",
+            "step 0: operand entities listed more than once: [int of 16610 bits]",
+        ]
+        with pytest.raises(OperatorSpecError) as excinfo:
+            apply_F([7, 7], 0, [2, 2], 1, operand_ids=(big, big))
+        assert str(excinfo.value) == "entity ids listed more than once: [int of 16610 bits]"
+        extension = TransformOptions("extension")
+        result = apply_L(dfn({6: 1, 9: "0.5"}), 0, 3, 1, options=extension, operand_id=big)
+        assert result.warnings == (
+            "remainder for 'int of 16610 bits' has negative support values (min -3)",
+        )
+
+
 # Hashable ids that are not nonempty strings; 1 and True are one dict key.
 _ODD_IDS = ("", 1, True, None, 2.0, (1,))
 # Values no slot accepts, or accepts only when they are at least 0 or 1.
