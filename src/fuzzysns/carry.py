@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import DomainError, OperatorSpecError
-from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber
+from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber, _shown
 
 
 def common_carry_tri(partials: Sequence[TriangularFuzzyNumber]) -> TriangularFuzzyNumber:
@@ -59,5 +59,5 @@ def common_carry_dfn(partials: Sequence[DiscreteFuzzyNumber]) -> DiscreteFuzzyNu
         raise OperatorSpecError("common carry needs at least one partial carry")
     for p in partials:
         if not isinstance(p, DiscreteFuzzyNumber):
-            raise DomainError(f"expected a discrete fuzzy number, got {p!r}")
+            raise DomainError(f"expected a discrete fuzzy number, got {_shown(p)}")
     return reduce(_form_pair, partials)

@@ -28,7 +28,7 @@ from .formats import (
     parse_triangular,
     scenario_from_json,
 )
-from .numbers import tfn_membership
+from .numbers import _shown, tfn_membership
 from .operators import REMAINDER_MODES, TransformOptions, TransformResult
 from .scenario import Scenario, Trace, run
 
@@ -46,14 +46,6 @@ _FIELDS = (
 )
 
 
-def _text_id(entity_id: str) -> str:
-    """An id as the text trace writes it: as given, or as a JSON string when it does not print.
-
-    So an id that holds a line break cannot split a step's or a final entry's line.
-    """
-    return entity_id if entity_id.isprintable() else _json_str(entity_id)
-
-
 def _walk(result: TransformResult):
     """(field, CSV name, text label, entity id, literal) of each value, in output order.
 
@@ -63,7 +55,7 @@ def _walk(result: TransformResult):
         value = getattr(result, name)
         items = value.items() if isinstance(value, dict) else [(None, value)]
         for entity_id, scalar in items:
-            label = sole if len(items) == 1 and sole else prefix + _text_id(entity_id)
+            label = sole if len(items) == 1 and sole else prefix + _shown(entity_id, str)
             literal = None if scalar is None else format_scalar(scalar)
             yield name, csv_name, label, entity_id, literal
 
@@ -78,7 +70,7 @@ def _trace_text(trace: Trace) -> list[str]:
         lines.append(f"step {step.index} {step.spec.form.value}: " + " ".join(parts))
     lines.append("final:")
     for entity_id, cardinal in trace.final.items():
-        lines.append(f"  {_text_id(entity_id)} = {format_scalar(cardinal)}")
+        lines.append(f"  {_shown(entity_id, str)} = {format_scalar(cardinal)}")
     return lines
 
 
@@ -156,7 +148,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with open(args.scenario, encoding="utf-8") as file:
             text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {args.scenario}: {exc}") from exc
+        raise ParseError(f"cannot read {_shown(args.scenario, str)}: {exc}") from exc
     scenario = scenario_from_json(text)
     del text  # not needed once parsed: free it before the run
     options = TransformOptions(

@@ -26,6 +26,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import DomainError, InvalidRadixError, MixedFamilyError
 
@@ -37,9 +38,25 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
+def _shown(value, show=repr) -> str:
+    """The one rule for an id or a value in message or label text: ``show(value)`` on one line."""
+    try:
+        text = show(value)
+    except ValueError:  # past the int digit limit: an int shows its size, a container its items
+        if isinstance(value, int):
+            return f"int of {value.bit_length()} bits"
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+        if not isinstance(value, (list, tuple)):
+            return f"a long {type(value).__name__}"
+        items = ", ".join(map(_shown, value)) + "," * (len(value) == 1 and type(value) is tuple)
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
+    return text if text.isprintable() else _json_str(text)  # a line break shows as \n
+
+
 def _as_int(value, what: str) -> int:
     if not _is_int(value):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -62,12 +79,12 @@ def _fraction_from_text(text: str) -> Fraction:
         digits = match[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise DomainError(
-                f"number {text.strip()!r} has an exponent beyond +-{MAX_EXPONENT}"
+                f"number {_shown(text.strip())} has an exponent beyond +-{MAX_EXPONENT}"
             )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a number: {text!r}") from exc
+        raise DomainError(f"not a number: {_shown(text)}") from exc
 
 
 def as_grade(value: GradeLike) -> Fraction:
@@ -82,9 +99,9 @@ def as_grade(value: GradeLike) -> Fraction:
     elif isinstance(value, (float, str)):
         grade = _fraction_from_text(repr(value) if isinstance(value, float) else value)
     else:
-        raise DomainError(f"grade must be numeric, got {value!r}")
+        raise DomainError(f"grade must be numeric, got {_shown(value)}")
     if not 0 < grade <= 1:
-        raise DomainError(f"grade {grade} outside (0, 1]")
+        raise DomainError(f"grade {_shown(grade, str)} outside (0, 1]")
     return grade
 
 
@@ -148,14 +165,14 @@ class _Record:
         return hash(self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {_shown(name)}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {_shown(name)}")
 
     def __reduce__(self):
         return type(self), self._fields
@@ -174,7 +191,8 @@ class TriangularFuzzyNumber(_Record):
         for name, value in zip(self.__slots__, (lower, mode, upper)):
             _as_int(value, name)
         if not lower <= mode <= upper:
-            raise DomainError(f"triangular triple out of order: ({lower}; {mode}; {upper})")
+            shown = "; ".join(_shown(v, str) for v in (lower, mode, upper))
+            raise DomainError(f"triangular triple out of order: ({shown})")
         self._init(lower, mode, upper)
 
     @property
@@ -205,7 +223,7 @@ class DiscreteFuzzyNumber(_Record):
         for value, grade in items:
             value = _as_int(value, "support value")
             if value in seen:
-                raise DomainError(f"duplicate support value {value}")
+                raise DomainError(f"duplicate support value {_shown(value, str)}")
             seen[value] = as_grade(grade)
         if not seen:
             raise DomainError("support must be nonempty")
@@ -265,7 +283,7 @@ def family(value: FuzzyScalar) -> str:
     if isinstance(value, DiscreteFuzzyNumber):
         return DISCRETE
     if not _is_int(value):
-        raise DomainError(f"not a fuzzy scalar: {value!r}")
+        raise DomainError(f"not a fuzzy scalar: {_shown(value)}")
     return CRISP
 
 
@@ -320,13 +338,13 @@ def _lowest(value: FuzzyScalar) -> int:
 def _check_radix(value: FuzzyScalar) -> None:
     """The one radix rule: every value a radix can take is at least 1."""
     if _lowest(value) < 1:
-        raise InvalidRadixError(f"radix must be >= 1, got {value}")
+        raise InvalidRadixError(f"radix must be >= 1, got {_shown(value, str)}")
 
 
 def _check_natural(value: FuzzyScalar, what: str) -> None:
     """The one natural-number rule: every value ``value`` can take is at least 0."""
     if _lowest(value) < 0:
-        raise DomainError(f"{what} must be >= 0, got {value}")
+        raise DomainError(f"{what} must be >= 0, got {_shown(value, str)}")
 
 
 def crisp_value(value: FuzzyScalar) -> int | None:
@@ -473,7 +491,8 @@ def dfn_zadeh_binary(
     """
     for number in (a, b):
         if lift_discrete(number) is not number:  # a triangular one raises MixedFamilyError
-            raise DomainError(f"sup-min extension needs discrete fuzzy numbers, got {number!r}")
+            message = f"sup-min extension needs discrete fuzzy numbers, got {_shown(number)}"
+            raise DomainError(message)
     levels = _grade_levels(a, b)
     if op is operator.add or op is operator.sub:
         width = (a.points[-1][0] - a.points[0][0]) + (b.points[-1][0] - b.points[0][0]) + 1

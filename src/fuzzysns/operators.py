@@ -34,7 +34,7 @@ from .carry import common_carry_dfn, common_carry_tri
 from .errors import OperatorSpecError
 from .numbers import (
     CRISP, DISCRETE, TRIANGULAR, FuzzyScalar, TriangularFuzzyNumber, _Record,
-    _as_int, _check_natural, _check_radix, _lowest, dfn_floor_div, dfn_mod,
+    _as_int, _check_natural, _check_radix, _lowest, _shown, dfn_floor_div, dfn_mod,
     dfn_zadeh_binary, joint_family, lift_discrete, lift_triangular,
     tfn_add, tfn_floor_div, tfn_mul, tfn_sub,
 )
@@ -54,9 +54,9 @@ class TransformOptions(_Record):
 
     def __init__(self, remainder_mode: str = "correlated", clamp_negative: bool = False):
         if remainder_mode not in REMAINDER_MODES:
-            raise OperatorSpecError(f"unknown remainder mode {remainder_mode!r}")
+            raise OperatorSpecError(f"unknown remainder mode {_shown(remainder_mode)}")
         if not isinstance(clamp_negative, bool):
-            raise OperatorSpecError(f"clamp_negative must be a boolean: {clamp_negative!r}")
+            raise OperatorSpecError(f"clamp_negative must be a boolean: {_shown(clamp_negative)}")
         self._init(remainder_mode, clamp_negative)
 
 
@@ -173,16 +173,6 @@ def _repeated(ids: Sequence) -> list:
     for i in ids:
         counts[i] += 1
     return [i for i, n in counts.items() if n > 1]
-
-
-def _shown(value, show=repr) -> str:
-    """``show(value)`` for a message; an int too long for ``str`` shows its size instead."""
-    try:
-        return show(value)
-    except ValueError:  # past the int digit limit, alone or among a list's ids
-        if isinstance(value, list):
-            return f"[{', '.join(map(_shown, value))}]"
-        return f"int of {value.bit_length()} bits" if isinstance(value, int) else "a long value"
 
 
 def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:

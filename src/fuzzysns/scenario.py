@@ -30,7 +30,8 @@ from .errors import (
     StepExecutionError,
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
-from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _repeated, _shown, _transform
+from .numbers import _shown
+from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _repeated, _transform
 
 # Not called here: run applies each step through _transform.  The benchmark's
 # tracer (perfbench/tracer.py) wraps these names and fails when one is missing.
@@ -92,9 +93,7 @@ class Diagnostic(_Record):
         self._init(step, message)
 
     def __str__(self) -> str:
-        if self.step is None:
-            return self.message
-        return f"step {self.step}: {self.message}"
+        return self.message if self.step is None else f"step {self.step}: {self.message}"
 
 
 class _State(Mapping):
@@ -186,11 +185,11 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
             try:
                 tags.append(family(value))
             except DomainError:
-                out.append(Diagnostic(index, f"{what} {value!r} is not a fuzzy scalar"))
+                out.append(Diagnostic(index, f"{what} {_shown(value)} is not a fuzzy scalar"))
                 continue
             try:
                 _check_natural(value, "conversion rate") if what == "rate" else _check_radix(value)
-            except ValueError as exc:  # also an int too long to print in the message
+            except ValueError as exc:
                 out.append(Diagnostic(index, str(exc)))
         try:
             joint = _join_families(filter(None, tags))
@@ -207,7 +206,7 @@ def run(scenario: Scenario) -> Trace:
 
     Operands, images, step states and ``Trace.final`` read their values there.
     Raises ScenarioValidationError if validation fails, StepExecutionError
-    (with the step index) if a step fails or a value grows too long for text.
+    (with the step index) if a step fails.
     """
     diagnostics, joints = _plan(scenario)
     if diagnostics:

@@ -779,3 +779,40 @@ def test_family_conflict_made_by_an_earlier_step_is_invalid_before_any_step_runs
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "invalid: step 1: step mixes discrete and triangular values\n"
+
+
+class TestMessagesKeepToOneLine:
+    """An id or a path that holds a line break shows as its JSON string literal on stderr."""
+
+    def test_unknown_id_with_a_line_feed_is_one_invalid_line(self, tmp_path, capsys):
+        text = json.dumps({
+            "entities": [{"id": "a", "value": 7}],
+            "steps": [{"form": "L", "operands": ["a"], "images": ["x\ny"],
+                       "radix": 3, "rates": [1]}],
+        })
+        code = main(["eval", write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["invalid: step 0: unknown entity '\"x\\ny\"'"]
+
+    def test_remainder_warning_for_an_id_with_a_carriage_return_is_one_line(
+        self, tmp_path, capsys
+    ):
+        scenario = Scenario(
+            {"c\rd": tri(4, 7, 9), "j": 10},
+            [OperatorSpec(Form.L, ("c\rd",), ("j",), (3,), (2,))],
+        )
+        code = main(["eval", write(tmp_path, scenario_to_json(scenario))])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: step 0: remainder for '\"c\\rd\"' has negative lower bound -5"
+        ]
+
+    def test_unreadable_path_with_a_line_feed_is_one_error_line(self, tmp_path, capsys):
+        code = main(["eval", str(tmp_path / "no\nfile.json")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot read ")
+        assert "no\\nfile.json" in lines[0]

@@ -11,7 +11,10 @@ from fuzzysns import (
     DomainError,
     InvalidRadixError,
     MixedFamilyError,
+    OperatorSpec,
     OperatorSpecError,
+    Scenario,
+    StepExecutionError,
     TransformOptions,
     TriangularFuzzyNumber,
     apply_D,
@@ -25,6 +28,7 @@ from fuzzysns import (
     crisp_value,
     dfn_zadeh_binary,
     lift_discrete,
+    run,
     zadeh_oracle,
 )
 from fuzzysns import operators
@@ -569,3 +573,34 @@ def test_the_earlier_check_names_a_two_fault_call(first, second):
                 call.pop("rates"), **call)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: apply_L(5, 0, -(10**5000), 1), InvalidRadixError,
+     "radix must be >= 1, got int of 16610 bits"),
+    (lambda: apply_L(-(10**5000), 0, 2, 1), DomainError,
+     "operand cardinal must be >= 0, got int of 16610 bits"),
+    (lambda: TriangularFuzzyNumber(10**5000, 0, 1), DomainError,
+     "triangular triple out of order: (int of 16610 bits; 0; 1)"),
+    (lambda: DiscreteFuzzyNumber([(10**5000, 1)] * 2), DomainError,
+     "duplicate support value int of 16610 bits"),
+    (lambda: TransformOptions(clamp_negative=10**5000), OperatorSpecError,
+     "clamp_negative must be a boolean: int of 16610 bits"),
+], ids=["radix", "operand", "triangular", "discrete", "clamp_negative"])
+def test_an_int_past_the_digit_limit_is_named_by_its_size_in_its_own_error(
+    call, error, message
+):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_run_names_a_long_negative_operand_by_its_size():
+    scenario = Scenario(
+        {"a": -(10**5000), "b": 0}, [OperatorSpec("L", ("a",), ("b",), (2,), (1,))]
+    )
+    with pytest.raises(StepExecutionError) as excinfo:
+        run(scenario)
+    assert str(excinfo.value) == (
+        "step 0 failed: operand cardinal must be >= 0, got int of 16610 bits"
+    )

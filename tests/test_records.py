@@ -211,3 +211,12 @@ def test_lazy_names_resolve_to_the_oracle_functions():
         assert getattr(fuzzysns, name) is getattr(oracle, name)
     with pytest.raises(AttributeError):
         fuzzysns.not_a_name
+
+
+@pytest.mark.parametrize("record", [
+    lambda: Scenario({10**5000: 1}, []),
+    lambda: OperatorSpec("L", (10**5000,), ("b",), (2,), (1,)),
+    lambda: TriangularFuzzyNumber(1, 2, 10**5000),
+], ids=["Scenario", "OperatorSpec", "TriangularFuzzyNumber"])
+def test_repr_shows_an_int_past_the_digit_limit_by_its_size(record):
+    assert "int of 16610 bits" in repr(record())

@@ -518,3 +518,68 @@ def _odd_scenario(rng):
         ))
     options = TransformOptions(rng.choice(("correlated", "extension")), rng.random() < 0.5)
     return Scenario(initial, steps, options)
+
+
+class TestValuesPastTheDigitLimitAndUnprintableIds:
+    """Every diagnostic shows an id or a value on one line, whatever the value."""
+
+    def test_non_scalars_holding_a_long_int_are_diagnostics(self):
+        big = 10**5000
+        rate = Scenario({"a": 7, "b": 0}, [line_step("a", "b", 2, [big])])
+        assert validate(rate) == [
+            Diagnostic(0, "rate [int of 16610 bits] is not a fuzzy scalar")
+        ]
+        assert validate(Scenario({"a": [big]}, [])) == [
+            Diagnostic(None, "entity 'a' has an invalid cardinal")
+        ]
+
+    def test_long_negative_radix_is_shown_by_its_size(self):
+        s = Scenario({"a": 7, "b": 0}, [line_step("a", "b", -(10**5000), 1)])
+        assert [str(d) for d in validate(s)] == [
+            "step 0: radix must be >= 1, got int of 16610 bits"
+        ]
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_validate_never_raises_and_every_message_is_one_line(self, chunk):
+        for seed in range(500 * chunk, 500 * (chunk + 1)):
+            scenario = _long_or_unprintable_scenario(random.Random(f"one-line-{seed}"))
+            diagnostics = validate(scenario)
+            assert all(len(str(d).splitlines()) == 1 for d in diagnostics), seed
+            try:
+                warnings = run(scenario).warnings
+            except (ScenarioValidationError, StepExecutionError) as exc:
+                warnings = (str(exc),)
+            assert all(len(w.splitlines()) == 1 for w in warnings), seed
+
+
+# Values past the int digit limit, alone or inside a container no slot accepts.
+_LONG_SCALARS = ([10**5000], (-(10**5000),), {1: 10**5000}, 10**5000, -(10**5000))
+
+
+def _long_or_unprintable_scenario(rng):
+    """A library-built scenario whose ids may hold line breaks and whose values may be long.
+
+    Ids come from four strings and two that do not print; one value in five is one
+    of ``_LONG_SCALARS``.  Steps name ids at random, so some are unknown or repeated.
+    """
+    pool = ["a", "b", "c", "d", "a\nb", "c\rd"]
+    fuzzy = rng.choice(("discrete", "triangular"))
+
+    def value(low):
+        if rng.random() < 0.2:
+            return rng.choice(_LONG_SCALARS)
+        return _random_value(rng, rng.choice(("crisp", fuzzy)), low)
+
+    known = rng.sample(pool, rng.randint(2, len(pool)))
+    initial = {e: value(0) for e in known}
+    steps = []
+    for _ in range(rng.randint(1, 3)):
+        form = rng.choice(list(Form))
+        w = 1 if form in (Form.L, Form.D) else 2
+        v = 1 if form in (Form.L, Form.F) else 2
+        ids = [rng.choice(pool) for _ in range(w + v)]
+        steps.append(OperatorSpec(
+            form, ids[:w], ids[w:], [value(1) for _ in range(w)], [value(0) for _ in range(v)]
+        ))
+    options = TransformOptions(rng.choice(("correlated", "extension")), rng.random() < 0.5)
+    return Scenario(initial, steps, options)
