@@ -100,8 +100,8 @@ def as_grade(value: GradeLike) -> Fraction:
         grade = _fraction_from_text(repr(value) if isinstance(value, float) else value)
     else:
         raise DomainError(f"grade must be numeric, got {_shown(value)}")
-    if not 0 < grade <= 1:
-        raise DomainError(f"grade {_shown(grade, str)} outside (0, 1]")
+    if not 0 < grade <= 1:  # an int grade is shown as an int: by its size past the digit limit
+        raise DomainError(f"grade {_shown(value if _is_int(value) else grade, str)} outside (0, 1]")
     return grade
 
 
@@ -140,6 +140,7 @@ def _grade_text(ratio: tuple[int, int]) -> str:
 class _Record:
     """A frozen record whose fields are its ``__slots__``, set once by ``_init``.
 
+    ``_init`` calls each slot descriptor's ``__set__`` (``_setters``): ``__setattr__`` refuses.
     Equality and hash go by the field tuple, within one class; the repr is
     ``Name(field=value, ...)``; copies and pickles are rebuilt by ``__init__``.
     """
@@ -149,12 +150,13 @@ class _Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls.__match_args__ = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         get = operator.attrgetter(*cls.__slots__)  # the bare value for a single field
         cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -337,13 +339,13 @@ def _lowest(value: FuzzyScalar) -> int:
 
 def _check_radix(value: FuzzyScalar) -> None:
     """The one radix rule: every value a radix can take is at least 1."""
-    if _lowest(value) < 1:
+    if (value if type(value) is int else _lowest(value)) < 1:
         raise InvalidRadixError(f"radix must be >= 1, got {_shown(value, str)}")
 
 
 def _check_natural(value: FuzzyScalar, what: str) -> None:
     """The one natural-number rule: every value ``value`` can take is at least 0."""
-    if _lowest(value) < 0:
+    if (value if type(value) is int else _lowest(value)) < 0:
         raise DomainError(f"{what} must be >= 0, got {_shown(value, str)}")
 
 

@@ -232,23 +232,21 @@ def _transform(
         for img in images:
             _check_natural(img, "image cardinal")
     # Lifted once each, after the checks, so an error names the value as given.
-    cardinals = [fam.lift(big_n) for big_n in operands]
-    radices = [fam.lift(n) for n in radices]
+    cardinals = [*map(fam.lift, operands)]
+    radices = [*map(fam.lift, radices)]
     partials = {i: fam.floor_div(c, n) for i, c, n in zip(op_ids, cardinals, radices)}
-    carry = fam.common([partials[i] for i in op_ids]) if fused else partials[op_ids[0]]
+    carry = fam.common([*partials.values()]) if fused else partials[op_ids[0]]
     correlated = fam.correlated if options.remainder_mode == "correlated" and not fused else None
     warnings: list[str] = []
     remainders: dict[str, FuzzyScalar] = {}
     for op_id, cardinal, n in zip(op_ids, cardinals, radices):
-        if correlated:
-            rem = correlated(cardinal, n)
-        else:
-            rem = fam.sub(cardinal, fam.mul(carry, n))
+        rem = correlated(cardinal, n) if correlated else fam.sub(cardinal, fam.mul(carry, n))
         low = _lowest(rem)
         if low < 0 and options.clamp_negative:
             rem = fam.clamp(rem)
         elif low < 0:
-            warnings.append(f"remainder for '{_shown(op_id, str)}' " + fam.negative.format(low))
+            shown = fam.negative.format(_shown(low, str))
+            warnings.append(f"remainder for '{_shown(op_id, str)}' {shown}")
         remainders[op_id] = rem
     transformants: dict[str, FuzzyScalar] = {}
     new_images: dict[str, FuzzyScalar] = {}

@@ -55,8 +55,7 @@ def valence_matches(form: Form, w: int, v: int) -> bool:
     The operator functions themselves are deliberately looser (any W, V >= 1)
     so degenerate valences can be cross-checked; scenarios enforce this rule.
     """
-    one_operand, one_image = form in (Form.L, Form.D), form in (Form.L, Form.F)
-    return (w == 1 if one_operand else w >= 2) and (v == 1 if one_image else v >= 2)
+    return (w == 1 if form in ("L", "D") else w >= 2) and (v == 1 if form in ("L", "F") else v >= 2)
 
 
 class OperatorSpec(_Record):
@@ -74,7 +73,8 @@ class OperatorSpec(_Record):
         self, form: Form | str, operands: Iterable[str], images: Iterable[str],
         radices: Iterable[FuzzyScalar], rates: Iterable[FuzzyScalar],
     ):
-        self._init(Form(form), tuple(operands), tuple(images), tuple(radices), tuple(rates))
+        form = form if type(form) is Form else Form(form)
+        self._init(form, tuple(operands), tuple(images), tuple(radices), tuple(rates))
 
 
 class Scenario(_Record):
@@ -154,23 +154,22 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
             families[entity_id] = None
             out.append(Diagnostic(None, f"entity {_shown(entity_id)} has an invalid cardinal"))
     for index, step in enumerate(scenario.steps):
-        w, v = len(step.operands), len(step.images)
+        w, v, r = len(step.operands), len(step.images), len(step.radices)
         if not valence_matches(step.form, w, v):
             out.append(Diagnostic(index, f"form {step.form.value} cannot take valence ({w}, {v})"))
-        if len(step.radices) != w:
-            out.append(Diagnostic(index, f"{len(step.radices)} radices for {w} operands"))
+        if r != w:
+            out.append(Diagnostic(index, f"{r} radices for {w} operands"))
         if len(step.rates) != v:
             out.append(Diagnostic(index, f"{len(step.rates)} rates for {v} images"))
         entities = (*step.operands, *step.images)
         try:
-            out += [Diagnostic(index, f"unknown entity '{_shown(e, str)}'")
-                    for e in entities if e not in families]
+            repeats, known = len(set(entities)) < len(entities), families
         except TypeError:  # an unhashable id is unknown, and the set-based checks skip the step
-            names = [*families]  # compared by ==, which needs no hash
-            out += [Diagnostic(index, f"unknown entity '{_shown(e, str)}'")
-                    for e in entities if e not in names]
-            entities = [e for e in entities if e in names]
-        else:
+            repeats, known = False, [*families]  # compared by ==, which needs no hash
+        if unknown := [e for e in entities if e not in known]:
+            out += [Diagnostic(index, f"unknown entity '{_shown(e, str)}'") for e in unknown]
+            entities = [e for e in entities if e in known]
+        if repeats:  # else no operand is also an image and no id is listed twice
             if shared := set(step.images).intersection(step.operands):
                 overlap = [e for e in dict.fromkeys(step.operands) if e in shared]
                 message = f"operand and image entities overlap: {_shown(overlap)}"
@@ -179,9 +178,9 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
                 if repeated := _repeated(ids):
                     message = f"{role} entities listed more than once: {_shown(repeated)}"
                     out.append(Diagnostic(index, message))
-        tags = [families.get(e) for e in entities]
+        tags = [*map(families.get, entities)]
         for k, value in enumerate((*step.radices, *step.rates)):
-            what = "radix" if k < len(step.radices) else "rate"
+            what = "radix" if k < r else "rate"
             try:
                 tags.append(family(value))
             except DomainError:
@@ -196,7 +195,7 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
         except MixedFamilyError:
             out.append(Diagnostic(index, "step mixes discrete and triangular values"))
         else:
-            families.update((e, joint) for e in entities if e in families)
+            families.update(dict.fromkeys(entities, joint))
             joints.append(joint)
     return out, joints
 
@@ -213,11 +212,10 @@ def run(scenario: Scenario) -> Trace:
         raise ScenarioValidationError(diagnostics)
     history = {entity_id: ([-1], [value]) for entity_id, value in scenario.initial.items()}
     trace_steps: list[TraceStep] = []
-    warnings: list[str] = []
     for index, (step, joint) in enumerate(zip(scenario.steps, joints)):
         try:
             result = _transform(
-                _FAMILIES[joint], step.form in (Form.F, Form.M),
+                _FAMILIES[joint], step.form in ("F", "M"),
                 [history[e][1][-1] for e in step.operands],
                 [history[e][1][-1] for e in step.images],
                 step.radices, step.rates, scenario.options, step.operands, step.images,
@@ -225,8 +223,9 @@ def run(scenario: Scenario) -> Trace:
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
         for entity_id, value in (*result.remainders.items(), *result.new_image_cardinals.items()):
-            history[entity_id][0].append(index)
-            history[entity_id][1].append(value)
-        warnings.extend(f"step {index}: {w}" for w in result.warnings)
+            indices, values = history[entity_id]
+            indices.append(index)
+            values.append(value)
         trace_steps.append(TraceStep(index, step, result, _State(history, index)))
-    return Trace(tuple(trace_steps), {e: h[1][-1] for e, h in history.items()}, tuple(warnings))
+    warnings = tuple(f"step {t.index}: {w}" for t in trace_steps for w in t.result.warnings)
+    return Trace(tuple(trace_steps), {e: h[1][-1] for e, h in history.items()}, warnings)

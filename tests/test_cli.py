@@ -504,6 +504,22 @@ def test_eval_result_too_long_to_print_leaves_stdout_empty(tmp_path, capsys, fmt
     assert captured.err.startswith("error: cannot print the result: ")
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_warning_of_a_result_too_long_to_print_leaves_one_error_line(tmp_path, capsys, fmt):
+    # The remainder's least value, -BIG**2, is past the digit limit: the warning shows it by
+    # its size, and the trace, too long to print, is refused before any warning is written.
+    document = _big_line_step(f"[0, 1, {BIG}]", f"[1, 1, {BIG}]", 1)
+    bits = (int(BIG) ** 2).bit_length()
+    warning = f"step 0: remainder for 'i' has negative lower bound int of {bits} bits"
+    assert run(scenario_from_json(document)).warnings == (warning,)
+    assert main(["eval", write(tmp_path, document), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot print the result: ")
+
+
 # JSON-shaped text: scenario documents whose leaves are any JSON value, and
 # some values no scenario reader should choke on.
 _KEYS = st.sampled_from(

@@ -1,6 +1,7 @@
 import json
 import operator
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -210,6 +211,13 @@ class TestDiscreteInvariants:
         for text in ("1e-4301", "1e-1_000_000", "1e-" + arabic_indic_4301, "1E-" + "9" * 5000):
             with pytest.raises(DomainError, match="exponent"):
                 as_grade(text)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer string conversion limit"
+    )
+    def test_int_grade_past_the_digit_limit_is_named_by_its_size(self):
+        with pytest.raises(DomainError, match=r"^grade int of 16610 bits outside \(0, 1\]$"):
+            as_grade(10**5000)
 
     @pytest.mark.parametrize("text", ["1/0", "abc", "nan"])
     def test_grade_text_that_is_not_a_number_is_a_domain_error(self, text):

@@ -30,7 +30,7 @@ from test_cli import random_scenario
 
 _SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
-# sha256 of ``eval --format {json,csv}`` stdout per shipped scenario and flag set.
+# sha256 of ``eval --format {json,csv,text}`` stdout per shipped scenario and flag set.
 _DIGESTS = {
     ("crisp_line", "json"): "7eaaef6ef4782490452d745ad6de6b34633ebf825f7df28418391cd512b3b12a",
     ("crisp_line", "csv"): "7a8bc5775391c3fa243d78441b500397ae95e87e68b65d8c64b5c486f30a77b4",
@@ -38,12 +38,16 @@ _DIGESTS = {
     ("discrete_fusion", "csv"): "cd20bba66085b67c59d122e6e6f8fd845fea7634afe840195dcb88367814d947",
     ("triangular_line", "json"): "eb2446b71d43fdaa8190496dc5c7096c934bb8f6a33e3be224f01c86abdda37b",
     ("triangular_line", "csv"): "f5b58082c06003ca8f4c115d8b01361caccc41919030743a497138c84f8a8b3b",
+    ("crisp_line", "text"): "026735afd4754564d35f2e9145680b612bb8cded472a1647f8c5a7fad0d4558d",
+    ("discrete_fusion", "text"): "52c2ac57c0052d57b470caa878d2da253a64c2afb80c5aeb29eebc73f28710d3",
+    ("triangular_line", "text"): "4af48ca1e104aae7927a4ec3a8fdd0d71f3f0381a6c26b7fa57826b0bf991c6e",
 }
 # Clamping changes the triangular line's negative remainder; elsewhere the
 # flags leave the output as it is.
 _CLAMPED = {
     ("triangular_line", "json"): "435f6126431148535c655ae705e4291aad7f5d92edb764d5f505cfa8bc656a21",
     ("triangular_line", "csv"): "8dc17aae1b4a21ab610c6cd6bee18a09cabb5ac30195d6b615e9b2889ec24b96",
+    ("triangular_line", "text"): "bb5698624019e9974d19b12b4273da75402365e69fefc8d859ce68acb60599aa",
 }
 _FLAGS = {
     "default": [],
