@@ -35,8 +35,8 @@ from .scenario import Scenario, Trace, run
 PARSE_FAILURE = 2
 VALIDATION_FAILURE = 1
 
-# Result fields in output order, the order of TransformResult's fields: CSV name, text label
-# when the field holds one value (None: always the prefix), and label prefix before an entity id.
+# Result fields in output order: CSV name, text label when the field holds one
+# value (None: always the prefix), and label prefix before an entity id.
 _FIELDS = (
     ("partial_carries", "partial_carry", "p", "p_"),
     ("common_carry", "common_carry", "p.", None),
@@ -51,11 +51,11 @@ def _walk(result: TransformResult):
 
     The common carry has entity id None, and literal None when none was formed.
     """
-    for (name, csv_name, sole, prefix), value in zip(_FIELDS, result._fields):
-        items = value.items() if prefix else [(None, value)]  # the common carry has no prefix
-        single = len(items) == 1 and sole
+    for name, csv_name, sole, prefix in _FIELDS:
+        value = getattr(result, name)
+        items = value.items() if isinstance(value, dict) else [(None, value)]
         for entity_id, scalar in items:
-            label = single or prefix + _shown(entity_id, str)
+            label = sole if len(items) == 1 and sole else prefix + _shown(entity_id, str)
             literal = None if scalar is None else format_scalar(scalar)
             yield name, csv_name, label, entity_id, literal
 
@@ -67,7 +67,7 @@ def _trace_text(trace: Trace) -> list[str]:
             f"{label}={literal}"
             for _, _, label, _, literal in _walk(step.result) if literal is not None
         ]
-        lines.append(f"step {step.index} {step.spec.form._value_}: " + " ".join(parts))
+        lines.append(f"step {step.index} {step.spec.form.value}: " + " ".join(parts))
     lines.append("final:")
     lines += [f"  {_shown(e, str)} = {format_scalar(v)}" for e, v in trace.final.items()]
     return lines
@@ -84,7 +84,7 @@ def _trace_json(trace: Trace) -> list[str]:
     state = {k: f"        {_json_str(k)}: {_json_str(format_scalar(v))}" for k, v in seed.items()}
     chunks = ["{", '  "steps": [' if trace.steps else '  "steps": [],']
     for step in trace.steps:
-        fields: dict = {"index": str(step.index), "form": _json_str(step.spec.form._value_)}
+        fields: dict = {"index": str(step.index), "form": _json_str(step.spec.form.value)}
         for name, _, _, entity_id, literal in _walk(step.result):
             if entity_id is None:
                 fields[name] = "null" if literal is None else _json_str(literal)
@@ -116,7 +116,7 @@ def _trace_csv(trace: Trace) -> list[str]:
     for step in trace.steps:
         for _, csv_name, _, entity_id, literal in _walk(step.result):
             if literal is not None:
-                rows.append(row([step.index, step.spec.form._value_, csv_name, entity_id, literal]))
+                rows.append(row([step.index, step.spec.form.value, csv_name, entity_id, literal]))
     rows.extend(row(["", "", "final", k, format_scalar(v)]) for k, v in trace.final.items())
     return rows
 

@@ -163,7 +163,7 @@ def _record(node: object, where: str, required: tuple, optional: tuple = ()) -> 
     for key in required:
         if key not in node:
             raise ParseError(f"{where}: missing {key!r}")
-    for key in node if len(node) > len(required) else ():  # else every key is a required one
+    for key in node:
         if key not in required and key not in optional:
             raise ParseError(f"{where}: unknown key {key!r}")
     return node
@@ -188,21 +188,20 @@ def _step_from_json(node: object, index: int) -> OperatorSpec:
     except ValueError as exc:
         raise ParseError(f"{where}: unknown form {node['form']!r}") from exc
     for key in ("operands", "images"):
-        if not isinstance(node[key], list) or not all(map(str.__instancecheck__, node[key])):
+        if not isinstance(node[key], list) or not all(isinstance(e, str) for e in node[key]):
             raise ParseError(f"{where}: '{key}' must be a list of entity ids")
-    raw_radix, single = node["radix"], len(node["operands"]) == 1
-    if single:
-        raw_radix = [raw_radix]
-    elif not isinstance(raw_radix, list) or len(raw_radix) != len(node["operands"]):
-        raise ParseError(f"{where}: 'radix' must list one radix per operand")
-    # A plain int is read as itself: no call, and no position text built for it.
-    radices = [x if type(x) is int
-               else _scalar_from_json(x, f"{where}.radix{'' if single else f'[{k}]'}")
-               for k, x in enumerate(raw_radix)]
+    raw_radix = node["radix"]
+    if len(node["operands"]) == 1:
+        radices = [_scalar_from_json(raw_radix, f"{where}.radix")]
+    else:
+        if not isinstance(raw_radix, list) or len(raw_radix) != len(node["operands"]):
+            raise ParseError(f"{where}: 'radix' must list one radix per operand")
+        radices = [
+            _scalar_from_json(x, f"{where}.radix[{k}]") for k, x in enumerate(raw_radix)
+        ]
     if not isinstance(node["rates"], list):
         raise ParseError(f"{where}: 'rates' must be a list")
-    rates = [x if type(x) is int else _scalar_from_json(x, f"{where}.rates[{k}]")
-             for k, x in enumerate(node["rates"])]
+    rates = [_scalar_from_json(x, f"{where}.rates[{k}]") for k, x in enumerate(node["rates"])]
     return OperatorSpec(form, node["operands"], node["images"], radices, rates)
 
 
@@ -261,8 +260,7 @@ def _scenario_from_doc(doc: object) -> Scenario:
             raise ParseError(f"{where}: entity id must be a nonempty string")
         if entity_id in initial:
             raise ParseError(f"{where}: duplicate entity id {entity_id!r}")
-        if type(value := node["value"]) is not int:  # a plain int is read as itself
-            value = _scalar_from_json(value, f"{where}.value")
+        value = _scalar_from_json(node["value"], f"{where}.value")
         kind = node.get("kind")
         if kind is not None and kind != family(value):
             raise ParseError(

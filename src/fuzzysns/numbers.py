@@ -138,9 +138,8 @@ def _grade_text(ratio: tuple[int, int]) -> str:
 
 
 class _Record:
-    """A frozen record whose fields are its ``__slots__``, set once by ``_init``.
+    """A frozen record: ``_init`` sets each ``__slots__`` field once, by its descriptor's setter.
 
-    ``_init`` calls each slot descriptor's ``__set__`` (``_setters``): ``__setattr__`` refuses.
     Equality and hash go by the field tuple, within one class; the repr is
     ``Name(field=value, ...)``; copies and pickles are rebuilt by ``__init__``.
     """
@@ -339,13 +338,13 @@ def _lowest(value: FuzzyScalar) -> int:
 
 def _check_radix(value: FuzzyScalar) -> None:
     """The one radix rule: every value a radix can take is at least 1."""
-    if (value if type(value) is int else _lowest(value)) < 1:
+    if _lowest(value) < 1:
         raise InvalidRadixError(f"radix must be >= 1, got {_shown(value, str)}")
 
 
 def _check_natural(value: FuzzyScalar, what: str) -> None:
     """The one natural-number rule: every value ``value`` can take is at least 0."""
-    if (value if type(value) is int else _lowest(value)) < 0:
+    if _lowest(value) < 0:
         raise DomainError(f"{what} must be >= 0, got {_shown(value, str)}")
 
 

@@ -232,10 +232,10 @@ def _transform(
         for img in images:
             _check_natural(img, "image cardinal")
     # Lifted once each, after the checks, so an error names the value as given.
-    cardinals = [*map(fam.lift, operands)]
-    radices = [*map(fam.lift, radices)]
+    cardinals = [fam.lift(big_n) for big_n in operands]
+    radices = [fam.lift(n) for n in radices]
     partials = {i: fam.floor_div(c, n) for i, c, n in zip(op_ids, cardinals, radices)}
-    carry = fam.common([*partials.values()]) if fused else partials[op_ids[0]]
+    carry = fam.common([partials[i] for i in op_ids]) if fused else partials[op_ids[0]]
     correlated = fam.correlated if options.remainder_mode == "correlated" and not fused else None
     warnings: list[str] = []
     remainders: dict[str, FuzzyScalar] = {}

@@ -55,7 +55,8 @@ def valence_matches(form: Form, w: int, v: int) -> bool:
     The operator functions themselves are deliberately looser (any W, V >= 1)
     so degenerate valences can be cross-checked; scenarios enforce this rule.
     """
-    return (w == 1 if form in ("L", "D") else w >= 2) and (v == 1 if form in ("L", "F") else v >= 2)
+    one_operand, one_image = form in ("L", "D"), form in ("L", "F")  # a Form is its str value
+    return (w == 1 if one_operand else w >= 2) and (v == 1 if one_image else v >= 2)
 
 
 class OperatorSpec(_Record):
@@ -98,6 +99,8 @@ class Diagnostic(_Record):
 
 class _State(Mapping):
     """The multeity after step ``index``: a read-only view of the write history."""
+
+    __slots__ = ("_history", "_index")
 
     def __init__(self, history: dict[str, tuple[list[int], list]], index: int):
         self._history, self._index = history, index
@@ -178,7 +181,7 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
                 if repeated := _repeated(ids):
                     message = f"{role} entities listed more than once: {_shown(repeated)}"
                     out.append(Diagnostic(index, message))
-        tags = [*map(families.get, entities)]
+        tags = [families.get(e) for e in entities]
         for k, value in enumerate((*step.radices, *step.rates)):
             what = "radix" if k < r else "rate"
             try:
@@ -223,9 +226,8 @@ def run(scenario: Scenario) -> Trace:
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
         for entity_id, value in (*result.remainders.items(), *result.new_image_cardinals.items()):
-            indices, values = history[entity_id]
-            indices.append(index)
-            values.append(value)
+            history[entity_id][0].append(index)
+            history[entity_id][1].append(value)
         trace_steps.append(TraceStep(index, step, result, _State(history, index)))
     warnings = tuple(f"step {t.index}: {w}" for t in trace_steps for w in t.result.warnings)
     return Trace(tuple(trace_steps), {e: h[1][-1] for e, h in history.items()}, warnings)
