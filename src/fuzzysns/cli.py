@@ -7,13 +7,14 @@ randomized brute-force equivalence suite.  The text, JSON and CSV traces
 render one walk over each step's result (:func:`_walk`) into a list of output
 chunks, all formatted before :func:`_print` writes the first.  Subcommands raise;
 only :func:`main` maps errors to exit codes: 0 success, 1 validation or
-runtime failure (a result too long to print included), 2 parse failure (an
-unreadable or undecodable file included).
+runtime failure (a result too long to print, or a stdout closed by its reader,
+included), 2 parse failure (an unreadable or undecodable file included).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -245,6 +246,11 @@ def main(argv: list[str] | None = None) -> int:
     except FuzzySnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_FAILURE if isinstance(exc, ParseError) else VALIDATION_FAILURE
+    except BrokenPipeError:
+        # The reader closed stdout (``eval ... | head``): point it at devnull, so the
+        # interpreter's final flush of what is left does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return VALIDATION_FAILURE
 
 
 if __name__ == "__main__":

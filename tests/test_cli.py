@@ -585,12 +585,135 @@ def test_json_shaped_text_ends_in_parse_error_or_exit_code(tmp_path_factory, tex
         assert main(["eval", str(path)]) in (0, 1, 2)
 
 
+_LINE = {"form": "L", "operands": ["a"], "images": ["b"], "radix": 3, "rates": [2]}
+
+# The stdlib-only contract.  ``python -S`` leaves site-packages off sys.path, so a
+# child under it has the standard library and ``src`` only: no pytest, no hypothesis.
+# ``-X dev -W error`` makes a warning in the child an error.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_PYTHON_S = [sys.executable, "-X", "dev", "-W", "error", "-S"]
+_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+)
+
+
+def _python_s(*args):
+    """Run ``python -X dev -W error -S *args`` with ``src`` on the path; output in bytes."""
+    return subprocess.run([*_PYTHON_S, *args], capture_output=True, timeout=60, env=_ENV)
+
+
+def test_site_packages_are_not_importable_under_python_s():
+    done = _python_s("-c", "import hypothesis")
+    assert done.returncode == 1
+    assert b"ModuleNotFoundError: No module named 'hypothesis'" in done.stderr
+
+
+_SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
+# Run-time checks after validate: a negative image of an all-crisp step, a negative operand.
+_RUNTIME = (
+    '{"entities": [{"id": "c", "value": %s}, {"id": "d", "value": %s}], "steps": [{"form":'
+    ' "L", "operands": ["c"], "images": ["d"], "radix": 3, "rates": [1]}]}'
+)
+# Both sides of the sup-min kernel: step 0's sums and differences are dense (alpha-cut
+# bitsets), step 1's supports lie 10**18 apart (the pair loop; a bitset over that hull
+# would not fit in memory).
+_KERNEL = """
+{"entities": [{"id": "p", "value": "{0|0.5, 1|0.5, 2|1, 3|0.5, 4|1/3, 5|2/6, 6|0.5, 7|0.2}"},
+              {"id": "q", "value": "{3|0.5, 4|1, 5|0.5, 6|1/3, 7|0.5, 8|0.2}"},
+              {"id": "r", "value": 0},
+              {"id": "w", "value": "{0|1, 1000000000000000000|0.5}"},
+              {"id": "v", "value": "{0|1, 1|0.5}"}],
+ "steps": [{"form": "F", "operands": ["p", "q"], "images": ["r"], "radix": [2, 2], "rates": [1]},
+           {"form": "L", "operands": ["w"], "images": ["v"], "radix": 2, "rates": [1]}],
+ "options": {"remainder_mode": "extension", "clamp_negative": true}}
+"""
+_KERNEL_OUT = "\n".join([
+    "step 0 F: p_p={0|0.5, 1|1, 2|1/3, 3|0.5} p_q={1|0.5, 2|1, 3|0.5, 4|0.2}"
+    " p.={0|0.5, 1|1, 2|1/3, 3|0.5} rem_p={0|1, 1|0.5, 2|0.5, 3|0.5, 4|0.5, 5|1/3, 6|0.5, 7|0.2}"
+    " rem_q={0|0.5, 1|0.5, 2|1, 3|0.5, 4|0.5, 5|0.5, 6|1/3, 7|0.5, 8|0.2}"
+    " q={0|0.5, 1|1, 2|1/3, 3|0.5} N'_r={0|0.5, 1|1, 2|1/3, 3|0.5}",
+    "step 1 L: p={0|1, 500000000000000000|0.5} rem={0|1, 1000000000000000000|0.5}"
+    " q={0|1, 500000000000000000|0.5} N'_v={0|1, 1|0.5, 500000000000000000|0.5,"
+    " 500000000000000001|0.5}",
+    "final:",
+    "  p = {0|1, 1|0.5, 2|0.5, 3|0.5, 4|0.5, 5|1/3, 6|0.5, 7|0.2}",
+    "  q = {0|0.5, 1|0.5, 2|1, 3|0.5, 4|0.5, 5|0.5, 6|1/3, 7|0.5, 8|0.2}",
+    "  r = {0|0.5, 1|1, 2|1/3, 3|0.5}",
+    "  w = {0|1, 1000000000000000000|0.5}",
+    "  v = {0|1, 1|0.5, 500000000000000000|0.5, 500000000000000001|0.5}",
+    "",
+]).encode()
+
+
+def _row(name, argv, document=None, code=0, out=None, err=None):
+    """One command: argv, a document whose path ends argv, and its exit code.
+
+    ``out`` and ``err``, when given, are the exact stdout and stderr bytes.
+    """
+    return pytest.param(argv, document, code, out, err, id=name)
+
+
+# One row per code path that imports something of its own, not per document.
+_COMMANDS = [
+    _row("eval-text-warning", ["eval", str(_SHIPPED / "triangular_line.json")]),
+    _row("eval-json", ["eval", str(_SHIPPED / "discrete_fusion.json"), "--format", "json"]),
+    # The CSV writer is a lazy import; a quoted "\r" in a field is why bytes are compared.
+    _row("eval-csv", ["eval", "--format", "csv"], json.dumps({
+        "entities": [{"id": "c\rd", "value": 7}, {"id": "e\nf", "value": 0}],
+        "steps": [{**_LINE, "operands": ["c\rd"], "images": ["e\nf"]}],
+    })),
+    _row("eval-overrides", [
+        "eval", str(_SHIPPED / "triangular_line.json"), "--format", "json",
+        "--remainder-mode", "extension", "--clamp-negative",
+    ]),
+    _row("parse-failure", ["eval"], '{"entities": [{"id": "d", "value": {"6": "0.5", "6": 1}}]}',
+         code=2, out=b"", err=b"error: key '6' appears more than once in one JSON object\n"),
+    _row("validation-failure", ["eval"], json.dumps({
+        "entities": [{"id": "a", "value": [1, 2, 3]}, {"id": "b", "value": 0},
+                     {"id": "c", "value": "{1|1}"}],
+        "steps": [{**_LINE, "operands": ["a"], "radix": 1, "rates": [1]},
+                  {**_LINE, "operands": ["c"], "radix": 1, "rates": [1]}],
+    }), code=1),
+    _row("runtime-failure-image", ["eval"], _RUNTIME % (7, -2), code=1, out=b"",
+         err=b"error: step 0 failed: image cardinal must be >= 0, got -2\n"),
+    _row("runtime-failure-operand", ["eval"], _RUNTIME % (-3, 2), code=1, out=b"",
+         err=b"error: step 0 failed: operand cardinal must be >= 0, got -3\n"),
+    _row("kernel", ["eval"], _KERNEL, out=_KERNEL_OUT, err=b""),
+    _row("carry-tri", ["carry", "--family", "tri", "(1;2;4)", "(2;3;3)"]),
+    # Disjoint supports: the least-mode partial is the carry.
+    _row("carry-dfn-disjoint", ["carry", "--family", "dfn", "{1|0.5, 2|1}", "{5|1, 6|0.3}"],
+         out=b"{1|0.5, 2|1}\n"),
+    # Above the least mode only the intersection remains: 3 is dropped.
+    _row("carry-dfn-above-the-mode",
+         ["carry", "--family", "dfn", "{1|0.5,2|1,4|0.7}", "{2|0.6,3|1,4|0.9}"],
+         out=b"{1|0.5, 2|1, 4|0.7}\n"),
+    _row("table", ["table", "(4;7;9)"]),
+    # The oracle and ``random`` load lazily.
+    _row("oracle-check", ["oracle-check", "--cases", "200"]),
+]
+
+
+@pytest.mark.parametrize("argv, document, code, out, err", _COMMANDS)
+def test_command_prints_the_same_bytes_in_process_and_under_python_s(
+    tmp_path, capsysbinary, argv, document, code, out, err
+):
+    if document is not None:
+        argv = [*argv, write(tmp_path, document)]
+    assert main(argv) == code
+    captured = capsysbinary.readouterr()
+    if out is not None:
+        assert captured.out == out
+    if err is not None:
+        assert captured.err == err
+    done = _python_s("-m", "fuzzysns.cli", *argv)
+    assert done.stderr == captured.err, done.stderr.decode(errors="replace")
+    assert done.stdout == captured.out
+    assert done.returncode == code
+
+
 # A decimal exponent sets a grade's size; one of 1e-1000000 made eval run for
 # minutes.  Each route a number's text takes into a Fraction is bounded:
 # a JSON float, a JSON string grade, and a grade in a CLI literal.
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 @pytest.mark.parametrize(
     "argv, data",
     [
@@ -610,22 +733,36 @@ def test_huge_grade_exponent_exits_2_promptly(tmp_path, argv, data):
         path = tmp_path / "exponent.json"
         path.write_bytes(data)
         argv = [*argv, str(path)]
-    path_entries = [_SRC, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
-    done = subprocess.run(
-        [sys.executable, "-m", "fuzzysns.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    done = _python_s("-m", "fuzzysns.cli", *argv)
     assert done.returncode == 2
-    assert done.stdout == ""
-    lines = done.stderr.splitlines()
+    assert done.stdout == b""
+    lines = done.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "exponent" in lines[0]
 
 
+def test_eval_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
+    # About 150 KB of text, more than a pipe holds: eval is still writing when the reader leaves.
+    steps = 3000
+    document = json.dumps({
+        "entities": [{"id": f"e{k}", "value": 7 + k % 5} for k in range(steps + 1)],
+        "steps": [{**_LINE, "operands": [f"e{k}"], "images": [f"e{k + 1}"]} for k in range(steps)],
+    })
+    child = subprocess.Popen(
+        [*_PYTHON_S, "-m", "fuzzysns.cli", "eval", write(tmp_path, document)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV,
+    )
+    with child:
+        assert child.stdout.readline() == b"step 0 L: p=2 rem=1 q=4 N'_e1=12\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert err == b""
+
+
 # Every shipped scenario runs clean in every format and reads back from its
 # own serialization; stderr holds only the scenario's own warnings.
-_SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+_SCENARIOS = sorted(_SHIPPED.glob("*.json"))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -637,9 +774,6 @@ def test_shipped_scenario_runs_and_round_trips(capsys, path, fmt):
     captured = capsys.readouterr()
     assert captured.out
     assert captured.err == "".join(f"warning: {w}\n" for w in run(scenario).warnings)
-
-
-_LINE = {"form": "L", "operands": ["a"], "images": ["b"], "radix": 3, "rates": [2]}
 
 
 def _document(entity=None, step=None, **top):

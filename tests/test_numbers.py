@@ -218,6 +218,9 @@ class TestDiscreteInvariants:
     def test_int_grade_past_the_digit_limit_is_named_by_its_size(self):
         with pytest.raises(DomainError, match=r"^grade int of 16610 bits outside \(0, 1\]$"):
             as_grade(10**5000)
+        # Any other value past the limit is named by its type.
+        with pytest.raises(DomainError, match=r"^grade a long Fraction outside \(0, 1\]$"):
+            as_grade(Fraction(10**5000, 3))
 
     @pytest.mark.parametrize("text", ["1/0", "abc", "nan"])
     def test_grade_text_that_is_not_a_number_is_a_domain_error(self, text):

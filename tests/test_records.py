@@ -9,10 +9,7 @@ loads none of the modules that ``eval`` does not need.
 
 import copy
 import json
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +30,7 @@ from fuzzysns import (
     apply_L,
     run,
 )
-from test_cli import _SRC
+from test_cli import _python_s
 
 
 def _spec():
@@ -194,11 +191,7 @@ print(json.dumps({{"loaded": loaded, "missing": missing}}))
 
 
 def test_cli_import_loads_no_unneeded_module():
-    path_entries = [_SRC, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _PROBE], capture_output=True, text=True, timeout=60, env=env
-    )
+    done = _python_s("-c", _PROBE)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"loaded": [], "missing": []}
 
