@@ -5,10 +5,10 @@ trace, ``carry`` forms a common carry from inline literals, ``table`` samples
 a triangular membership function into CSV, and ``oracle-check`` runs the
 randomized brute-force equivalence suite.  The text, JSON and CSV traces
 render one walk over each step's result (:func:`_walk`) into a list of output
-chunks, all formatted before :func:`_print` writes the first.  Subcommands raise;
-only :func:`main` maps errors to exit codes: 0 success, 1 validation or
-runtime failure (a result too long to print, or a stdout closed by its reader,
-included), 2 parse failure (an unreadable or undecodable file included).
+chunks (text and CSV: :func:`_blocks` of lines), all formatted before :func:`_print`
+writes the first.  Subcommands raise; only :func:`main` maps errors to exit codes:
+0 success, 1 validation or runtime failure (a result too long to print, or a stdout
+that cannot be written, included), 2 parse failure (an unreadable file included).
 """
 
 from __future__ import annotations
@@ -61,17 +61,34 @@ def _walk(result: TransformResult):
             yield name, csv_name, label, entity_id, literal
 
 
-def _trace_text(trace: Trace) -> list[str]:
-    lines = []
+def _blocks(lines):
+    """``lines`` joined into ~64 KiB blocks as they come: few writes, no line outlives its block."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= 1 << 16:
+            yield "\n".join(block)
+            block, size = [], 0
+    if block:
+        yield "\n".join(block)
+
+
+def _in_blocks(lines):
+    """A renderer: the :func:`_blocks` of the lines the generator ``lines(*args)`` yields."""
+    return lambda *args: [*_blocks(lines(*args))]
+
+
+@_in_blocks
+def _trace_text(trace: Trace):
     for step in trace.steps:
         parts = [
             f"{label}={literal}"
             for _, _, label, _, literal in _walk(step.result) if literal is not None
         ]
-        lines.append(f"step {step.index} {step.spec.form.value}: " + " ".join(parts))
-    lines.append("final:")
-    lines += [f"  {_shown(e, str)} = {format_scalar(v)}" for e, v in trace.final.items()]
-    return lines
+        yield f"step {step.index} {step.spec.form.value}: " + " ".join(parts)
+    yield "final:"
+    yield from (f"  {_shown(e, str)} = {format_scalar(v)}" for e, v in trace.final.items())
 
 
 def _json_block(head: str, lines, tail: str, pad: str) -> str:
@@ -108,18 +125,18 @@ def _trace_json(trace: Trace) -> list[str]:
     return [*chunks, f'  "final": {final},', f'  "warnings": {warnings}', "}"]
 
 
-def _trace_csv(trace: Trace) -> list[str]:
+@_in_blocks
+def _trace_csv(trace: Trace):
     import csv
 
     # writerow returns write's result: the row minus the "\r\n" that makes both line breaks quoted.
     row = csv.writer(SimpleNamespace(write=lambda line: line[:-2]), lineterminator="\r\n").writerow
-    rows = [row(["step", "form", "field", "entity", "value"])]
+    yield row(["step", "form", "field", "entity", "value"])
     for step in trace.steps:
         for _, csv_name, _, entity_id, literal in _walk(step.result):
             if literal is not None:
-                rows.append(row([step.index, step.spec.form.value, csv_name, entity_id, literal]))
-    rows.extend(row(["", "", "final", k, format_scalar(v)]) for k, v in trace.final.items())
-    return rows
+                yield row([step.index, step.spec.form.value, csv_name, entity_id, literal])
+    yield from (row(["", "", "final", k, format_scalar(v)]) for k, v in trace.final.items())
 
 
 _RENDERERS = {"text": _trace_text, "json": _trace_json, "csv": _trace_csv}
@@ -129,7 +146,7 @@ def _print(render, *args, warnings=()) -> None:
     """Print the list of strings ``render(*args)`` returns, one per line, as one joined text would.
 
     A number too long to print is a DomainError raised before any output, ``warnings`` included.
-    Lines go out in ~64 KiB blocks: few writes even to an unbuffered stdout, no whole-output copy.
+    Chunks go out joined into :func:`_blocks`; a block of its own passes through uncopied.
     """
     try:
         chunks = render(*args)
@@ -137,12 +154,8 @@ def _print(render, *args, warnings=()) -> None:
         raise DomainError(f"cannot print the result: {exc}") from exc
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    start = size = 0
-    for end, chunk in enumerate(chunks, 1):
-        size += len(chunk)
-        if size >= 1 << 16 or end == len(chunks):
-            print("\n".join(chunks[start:end]))
-            start, size = end, 0
+    for block in _blocks(chunks):
+        print(block)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -157,7 +170,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args.remainder_mode or scenario.options.remainder_mode,
         args.clamp_negative or scenario.options.clamp_negative,
     )
-    trace = run(Scenario(scenario.initial, scenario.steps, options))
+    scenario = Scenario(scenario.initial, scenario.steps, options)  # frees the parsed initial
+    trace = run(scenario)
     _print(_RENDERERS[args.format], trace, warnings=trace.warnings)
     return 0
 
@@ -238,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails is caught here, not at interpreter exit
+        return code
     except ScenarioValidationError as exc:
         for diagnostic in exc.diagnostics:
             print(f"invalid: {diagnostic}", file=sys.stderr)
@@ -246,10 +262,12 @@ def main(argv: list[str] | None = None) -> int:
     except FuzzySnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_FAILURE if isinstance(exc, ParseError) else VALIDATION_FAILURE
-    except BrokenPipeError:
-        # The reader closed stdout (``eval ... | head``): point it at devnull, so the
-        # interpreter's final flush of what is left does not raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # writing stdout failed; reading the scenario raises ParseError
+        # Stdout to devnull, so the interpreter's final flush of what is left does not raise.
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that left (``eval ... | head``)
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return VALIDATION_FAILURE
 
 

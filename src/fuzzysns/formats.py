@@ -149,6 +149,16 @@ def _scalar_from_json(node: object, where: str) -> FuzzyScalar:
     raise ParseError(f"{where}: cannot read fuzzy scalar from {node!r}")
 
 
+def _scalars(nodes: list, where: str, field: str, table: dict, indexed: bool = True) -> tuple:
+    """``nodes`` read as the scalars ``where.field[k]`` (``where.field`` unless ``indexed``).
+    An all-``int`` tuple is shared through ``table``; a fuzzy one is not: its hash hashes grades."""
+    if {*map(type, nodes)} <= {int}:  # JSON gives exact ints; a bool is not one
+        values = tuple(nodes)
+        return table.setdefault(values, values)
+    at = f"{where}.{field}"
+    return tuple(_scalar_from_json(x, f"{at}[{k}]" if indexed else at) for k, x in enumerate(nodes))
+
+
 def _support_key(key: str, where: str) -> int:
     try:
         return _int_from_text(key)
@@ -180,29 +190,27 @@ def _step_to_json(step: OperatorSpec) -> dict:
     }
 
 
-def _step_from_json(node: object, index: int) -> OperatorSpec:
+def _step_from_json(node: object, index: int, table: dict) -> OperatorSpec:
+    """One step; each id known to ``table`` is held as that entity's key object."""
     where = f"steps[{index}]"
     _record(node, where, ("form", "operands", "images", "radix", "rates"))
     try:
         form = Form(node["form"])
     except ValueError as exc:
         raise ParseError(f"{where}: unknown form {node['form']!r}") from exc
-    for key in ("operands", "images"):
-        if not isinstance(node[key], list) or not all(isinstance(e, str) for e in node[key]):
+    ids = node["operands"], node["images"]
+    for key, raw in zip(("operands", "images"), ids):
+        if not isinstance(raw, list) or not {*map(type, raw)} <= {str}:  # JSON gives exact strs
             raise ParseError(f"{where}: '{key}' must be a list of entity ids")
-    raw_radix = node["radix"]
-    if len(node["operands"]) == 1:
-        radices = [_scalar_from_json(raw_radix, f"{where}.radix")]
-    else:
-        if not isinstance(raw_radix, list) or len(raw_radix) != len(node["operands"]):
-            raise ParseError(f"{where}: 'radix' must list one radix per operand")
-        radices = [
-            _scalar_from_json(x, f"{where}.radix[{k}]") for k, x in enumerate(raw_radix)
-        ]
+    operands, images = (tuple(map(table.get, raw, raw)) for raw in ids)  # unknown ids as read
+    raw_radix, several = node["radix"], len(operands) != 1
+    if several and (not isinstance(raw_radix, list) or len(raw_radix) != len(operands)):
+        raise ParseError(f"{where}: 'radix' must list one radix per operand")
+    radices = _scalars(raw_radix if several else [raw_radix], where, "radix", table, several)
     if not isinstance(node["rates"], list):
         raise ParseError(f"{where}: 'rates' must be a list")
-    rates = [_scalar_from_json(x, f"{where}.rates[{k}]") for k, x in enumerate(node["rates"])]
-    return OperatorSpec(form, node["operands"], node["images"], radices, rates)
+    rates = _scalars(node["rates"], where, "rates", table)
+    return OperatorSpec(form, operands, images, radices, rates)
 
 
 def scenario_to_json(scenario: Scenario) -> str:
@@ -260,13 +268,16 @@ def _scenario_from_doc(doc: object) -> Scenario:
             raise ParseError(f"{where}: entity id must be a nonempty string")
         if entity_id in initial:
             raise ParseError(f"{where}: duplicate entity id {entity_id!r}")
-        value = _scalar_from_json(node["value"], f"{where}.value")
+        value = node["value"]
+        if type(value) is not int:
+            value = _scalar_from_json(value, f"{where}.value")
         kind = node.get("kind")
         if kind is not None and kind != family(value):
             raise ParseError(
                 f"{where}: declared kind {kind!r} does not match value kind {family(value)!r}"
             )
         initial[entity_id] = value
-    steps = tuple(_step_from_json(node, k) for k, node in enumerate(doc.get("steps", [])))
+    table = {key: key for key in initial}  # ids, then all-int radix and rate tuples
+    steps = tuple(_step_from_json(node, k, table) for k, node in enumerate(doc.get("steps", [])))
     options = _record(doc.get("options", {}), "options", (), TransformOptions.__slots__)
     return Scenario(initial, steps, _build("options", TransformOptions, **options))

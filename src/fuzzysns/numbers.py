@@ -31,6 +31,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .errors import DomainError, InvalidRadixError, MixedFamilyError
 
 GradeLike = int | float | str | Fraction
+_ONE = Fraction(1)  # the grade of every crisp value lifted to a discrete one
 
 
 def _is_int(value) -> bool:
@@ -234,7 +235,7 @@ class DiscreteFuzzyNumber(_Record):
 
     @classmethod
     def _trusted(cls, out: dict[int, Fraction]) -> DiscreteFuzzyNumber:
-        """The sup-min kernel's result: ``out`` sorted into ``points``, nothing checked.
+        """A lifted crisp value or the sup-min kernel's result: ``out`` sorted, nothing checked.
 
         Grades, distinctness, normality and integer support values hold by
         construction, or are checked by :func:`dfn_zadeh_binary` (module docstring).
@@ -321,8 +322,7 @@ def lift_discrete(value: FuzzyScalar) -> DiscreteFuzzyNumber:
         return value
     if isinstance(value, TriangularFuzzyNumber):
         raise MixedFamilyError("cannot lift a triangular fuzzy number to discrete")
-    v = _as_int(value, "crisp value")
-    return DiscreteFuzzyNumber(((v, Fraction(1)),))
+    return DiscreteFuzzyNumber._trusted({_as_int(value, "crisp value"): _ONE})
 
 
 def _lowest(value: FuzzyScalar) -> int:
@@ -491,7 +491,8 @@ def dfn_zadeh_binary(
     from ``a``.  The choice rests on ``op``'s identity and the operands alone.
     """
     for number in (a, b):
-        if lift_discrete(number) is not number:  # a triangular one raises MixedFamilyError
+        if not isinstance(number, DiscreteFuzzyNumber):
+            lift_discrete(number)  # MixedFamilyError for a triangular one, DomainError for junk
             message = f"sup-min extension needs discrete fuzzy numbers, got {_shown(number)}"
             raise DomainError(message)
     levels = _grade_levels(a, b)

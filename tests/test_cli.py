@@ -592,9 +592,11 @@ _LINE = {"form": "L", "operands": ["a"], "images": ["b"], "radix": 3, "rates": [
 # ``-X dev -W error`` makes a warning in the child an error.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _PYTHON_S = [sys.executable, "-X", "dev", "-W", "error", "-S"]
-_ENV = dict(
-    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-)
+# Stdout is buffered in the child whatever the caller's environment says; the tests of
+# write failures run both ways, as buffered and unbuffered writes fail at different calls.
+_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+_STDOUT_MODES = {"buffered": _ENV, "unbuffered": {**_ENV, "PYTHONUNBUFFERED": "1"}}
 
 
 def _python_s(*args):
@@ -741,23 +743,52 @@ def test_huge_grade_exponent_exits_2_promptly(tmp_path, argv, data):
     assert "exponent" in lines[0]
 
 
-def test_eval_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
-    # About 150 KB of text, more than a pipe holds: eval is still writing when the reader leaves.
-    steps = 3000
-    document = json.dumps({
+def chain_document(steps):
+    """``steps`` L steps along a chain of crisp entities ``e0``, ``e1``, ..."""
+    return json.dumps({
         "entities": [{"id": f"e{k}", "value": 7 + k % 5} for k in range(steps + 1)],
         "steps": [{**_LINE, "operands": [f"e{k}"], "images": [f"e{k + 1}"]} for k in range(steps)],
     })
-    child = subprocess.Popen(
-        [*_PYTHON_S, "-m", "fuzzysns.cli", "eval", write(tmp_path, document)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV,
-    )
-    with child:
-        assert child.stdout.readline() == b"step 0 L: p=2 rem=1 q=4 N'_e1=12\n"
-        child.stdout.close()
-        err = child.stderr.read()
-        assert child.wait(timeout=60) == 1
-    assert err == b""
+
+
+def test_eval_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
+    # About 150 KB of text, more than a pipe holds: eval is still writing when the reader leaves.
+    path = write(tmp_path, chain_document(3000))
+    for env in _STDOUT_MODES.values():
+        child = subprocess.Popen(
+            [*_PYTHON_S, "-m", "fuzzysns.cli", "eval", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        with child:
+            assert child.stdout.readline() == b"step 0 L: p=2 rem=1 q=4 N'_e1=12\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1
+        assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("mode", _STDOUT_MODES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", str(_SHIPPED / "crisp_line.json")],
+        ["eval", str(_SHIPPED / "crisp_line.json"), "--format", "csv"],
+        ["eval", str(_SHIPPED / "discrete_fusion.json"), "--format", "json"],
+        ["table", "(4;7;9)"],
+        ["oracle-check", "--cases", "20"],
+    ],
+    ids=["eval-text", "eval-csv", "eval-json", "table", "oracle-check"],
+)
+def test_output_into_a_full_device_is_one_error_line(argv, mode):
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [*_PYTHON_S, "-m", "fuzzysns.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=_STDOUT_MODES[mode], timeout=60,
+        )
+    assert done.returncode == 1
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
 
 
 # Every shipped scenario runs clean in every format and reads back from its

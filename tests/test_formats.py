@@ -259,3 +259,44 @@ def test_key_table_names_the_record(doc, message):
 def test_key_repeated_in_one_object_is_refused(text, key):
     with pytest.raises(ParseError, match=f"^key '{key}' appears more than once"):
         scenario_from_json(text)
+
+
+# Ids of more than one character: the JSON decoder shares one-character strings anyway.
+_SHARED = json.dumps({
+    "entities": [{"id": f"e{k}", "value": k} for k in range(5)]
+    + [{"id": "d0", "value": "{1|0.5, 2|1}"}, {"id": "d1", "value": 0}],
+    "steps": [
+        {"form": "F", "operands": ["e0", "e1"], "images": ["e2"], "radix": [3, 2], "rates": [2]},
+        {"form": "D", "operands": ["e2"], "images": ["e3", "e4"], "radix": 2, "rates": [3, 2]},
+        {"form": "F", "operands": ["e3", "e4"], "images": ["e0"], "radix": [3, 2], "rates": [3]},
+        {"form": "L", "operands": ["d0"], "images": ["d1"], "radix": [[2, 0.5], [3, 1]],
+         "rates": ["{1|1, 2|0.5}"]},
+        {"form": "L", "operands": ["e1"], "images": ["no-such"], "radix": 2, "rates": [2]},
+    ],
+})
+
+
+def test_step_ids_are_the_entity_key_objects():
+    scenario = scenario_from_json(_SHARED)
+    keys = {key: key for key in scenario.initial}
+    ids = [e for step in scenario.steps for e in (*step.operands, *step.images)]
+    assert all(e is keys[e] for e in ids if e != "no-such")
+    assert scenario.steps[-1].images == ("no-such",)  # an unknown id is kept as read
+
+
+def test_equal_all_int_radix_and_rate_tuples_are_one_object():
+    steps = scenario_from_json(_SHARED).steps
+    assert steps[0].radices == (3, 2) and steps[0].radices is steps[2].radices
+    assert steps[1].rates == (3, 2) and steps[1].rates is steps[0].radices
+    twos = (steps[0].rates, steps[1].radices, steps[4].radices, steps[4].rates)
+    assert twos[0] == (2,) and all(t is twos[0] for t in twos)
+
+
+def test_fuzzy_radices_and_rates_are_read_without_hashing_a_grade(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    step = scenario_from_json(_SHARED).steps[3]
+    assert step.radices == (dfn({2: "0.5", 3: 1}),)
+    assert step.rates == (dfn({1: 1, 2: "0.5"}),)

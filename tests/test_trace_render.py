@@ -23,10 +23,11 @@ from fuzzysns import (
     TransformOptions,
     format_scalar,
     run,
+    scenario_from_json,
 )
 from fuzzysns import cli
 from fuzzysns.scenario import Trace
-from test_cli import random_scenario
+from test_cli import chain_document, random_scenario
 
 _SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -182,3 +183,21 @@ def test_table_and_text_render_lists():
 def test_print_writes_the_joined_text(capsys, chunks):
     cli._print(lambda: chunks)
     assert capsys.readouterr().out == "\n".join(chunks) + "\n"
+
+
+# sha256 of the text and CSV traces of a 3,000-step crisp chain, 150 KB and 365 KB.
+_CHAIN_DIGESTS = {
+    "text": "e49cd54c7640f6348af6fd1e1d6fd7d475929ebb308f01e937987d479d9dac5a",
+    "csv": "eda6e436ea1ac0eb01bb41e2dbc383f8a99365b7a243df8e1384c0b0b1ce3113",
+}
+
+
+@pytest.mark.parametrize("fmt", _CHAIN_DIGESTS)
+def test_long_text_and_csv_traces_are_rendered_as_blocks(fmt):
+    chunks = cli._RENDERERS[fmt](run(scenario_from_json(chain_document(3000))))
+    lines = [chunk.split("\n") for chunk in chunks]
+    # Each block is under 64 KiB of lines plus the one that fills it, and all but the last fill it.
+    assert all(sum(map(len, block[:-1])) < 1 << 16 for block in lines)
+    assert len(chunks) > 1 and all(sum(map(len, block)) >= 1 << 16 for block in lines[:-1])
+    text = "\n".join(chunks) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _CHAIN_DIGESTS[fmt]
