@@ -6,6 +6,8 @@ formation for multi-operand operators; a scenario evaluator over named
 entities; and brute-force oracles for verification.
 """
 
+from types import ModuleType as _ModuleType
+
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import (
     DomainError,
@@ -64,73 +66,20 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
+_LAZY = ("alpha_cut_check", "equivalence_suite", "random_dfn", "zadeh_oracle")
+
 
 def __getattr__(name: str):
     """The oracle's names, imported on first use (and ``random`` with them)."""
-    if name in ("alpha_cut_check", "equivalence_suite", "random_dfn", "zadeh_oracle"):
+    if name in _LAZY:
         from . import oracle
 
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "DiscreteFuzzyNumber",
-    "Diagnostic",
-    "DomainError",
-    "Form",
-    "FuzzyScalar",
-    "FuzzySnsError",
-    "InvalidRadixError",
-    "MixedFamilyError",
-    "Multeity",
-    "OperatorSpec",
-    "OperatorSpecError",
-    "ParseError",
-    "Scenario",
-    "ScenarioValidationError",
-    "StepExecutionError",
-    "Trace",
-    "TraceStep",
-    "TransformOptions",
-    "TransformResult",
-    "TriangularFuzzyNumber",
-    "alpha_cut_check",
-    "apply_D",
-    "apply_F",
-    "apply_L",
-    "apply_M",
-    "as_grade",
-    "common_carry_dfn",
-    "common_carry_tri",
-    "crisp_D",
-    "crisp_F",
-    "crisp_L",
-    "crisp_M",
-    "crisp_value",
-    "dfn_floor_div",
-    "dfn_mod",
-    "dfn_zadeh_binary",
-    "equivalence_suite",
-    "family",
-    "format_fraction",
-    "format_scalar",
-    "joint_family",
-    "lift_discrete",
-    "lift_triangular",
-    "parse_fraction",
-    "parse_scalar",
-    "random_dfn",
-    "run",
-    "scenario_from_json",
-    "scenario_to_json",
-    "tfn_add",
-    "tfn_floor_div",
-    "tfn_membership",
-    "tfn_mul",
-    "tfn_scale",
-    "tfn_sub",
-    "valence_matches",
-    "validate",
-    "zadeh_oracle",
-]
+# The imports above are the public API: every public name they bind, and the oracle's.
+__all__ = sorted([
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + [*_LAZY])

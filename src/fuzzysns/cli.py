@@ -20,6 +20,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 
+# run, scenario_from_json and format_scalar are called through this module's globals
+# because perfbench/tracer.py replaces them; ROADMAP item 8 removes that.
 from .carry import common_carry_dfn, common_carry_tri
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
 from .formats import (
@@ -139,6 +141,8 @@ def _trace_csv(trace: Trace):
     yield from (row(["", "", "final", k, format_scalar(v)]) for k, v in trace.final.items())
 
 
+# Text and CSV lines are joined into blocks as made, JSON chunks only at write time (_print):
+# each way has the lower peak RSS, by over 0.1 MB (see CHANGES.md).
 _RENDERERS = {"text": _trace_text, "json": _trace_json, "csv": _trace_csv}
 
 

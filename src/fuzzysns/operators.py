@@ -128,8 +128,10 @@ class _Family(SimpleNamespace):
     negative = ""
 
 
-# The lambdas look the module's functions up at call time, so a wrapper that
-# replaces one of these module attributes (a profiler, say) sees every call.
+# The lambdas look the module's functions up at call time, so a replaced attribute sees
+# every call: perfbench/tracer.py times them (until ROADMAP item 8), tests/test_oracle.py
+# swaps tfn_floor_div and dfn_mod, tests/test_operators.py records dfn_floor_div, dfn_mod
+# and tfn_floor_div.  Nothing replaces ``lift``.
 _FAMILIES = {
     CRISP: _Family(
         lift=lambda value: value,
@@ -140,7 +142,7 @@ _FAMILIES = {
         common=min,
     ),
     DISCRETE: _Family(
-        lift=lambda value: lift_discrete(value),
+        lift=lift_discrete,
         floor_div=lambda cardinal, radix: dfn_floor_div(cardinal, radix),
         mul=lambda a, b: dfn_zadeh_binary(operator.mul, a, b),
         add=lambda a, b: dfn_zadeh_binary(operator.add, a, b),
@@ -151,7 +153,7 @@ _FAMILIES = {
         correlated=lambda cardinal, radix: dfn_mod(cardinal, radix),
     ),
     TRIANGULAR: _Family(
-        lift=lambda value: lift_triangular(value),
+        lift=lift_triangular,
         floor_div=lambda cardinal, radix: tfn_floor_div(cardinal, radix),
         mul=lambda a, b: tfn_mul(a, b),
         add=lambda a, b: tfn_add(a, b),

@@ -4,10 +4,12 @@ Every record class behaves as a frozen record whose fields are listed in
 order: the repr is ``Name(field=value, ...)``, equality and hash go by the
 field tuple and only between instances of the same class, and no field can
 be assigned or deleted.  A second block checks that ``import fuzzysns.cli``
-loads none of the modules that ``eval`` does not need.
+loads none of the modules that ``eval`` does not need, and that ``__all__`` is
+exactly the package's public imports and the oracle's lazy names.
 """
 
 import copy
+import functools
 import json
 import pickle
 from fractions import Fraction
@@ -176,31 +178,56 @@ def test_records_keep_their_checks_and_canonical_forms():
 
 # Modules ``eval`` does not need: they load on first use of what needs them.
 UNNEEDED = ("dataclasses", "inspect", "typing", "csv", "random", "fuzzysns.oracle")
+# Exported by ``fuzzysns`` but imported from ``fuzzysns.oracle`` on first use.
+ORACLE_NAMES = ("alpha_cut_check", "equivalence_suite", "random_dfn", "zadeh_oracle")
 
+# Each key but "loaded" lists the names that break the public-name rule: ``__all__``
+# is every public non-module global of ``fuzzysns`` plus the oracle's, each once.
 _PROBE = f"""
 import json, sys
+from types import ModuleType
 import fuzzysns.cli
 loaded = sorted(m for m in {UNNEEDED!r} if m in sys.modules)
 import fuzzysns
-missing = [n for n in fuzzysns.__all__ if getattr(fuzzysns, n, None) is None]
-names = {{}}
-exec("from fuzzysns import *", names)
-missing += sorted(set(fuzzysns.__all__) - set(names))
-print(json.dumps({{"loaded": loaded, "missing": missing}}))
+names = fuzzysns.__all__
+public = {{n for n, v in vars(fuzzysns).items() if n[0] != "_" and not isinstance(v, ModuleType)}}
+star = {{}}
+exec("from fuzzysns import *", star)
+del star["__builtins__"]
+print(json.dumps({{
+    "loaded": loaded,
+    "duplicate": sorted({{n for n in names if names.count(n) > 1}}),
+    "private": [n for n in names if n.startswith("_")],
+    "module": [n for n in names if isinstance(getattr(fuzzysns, n, None), ModuleType)],
+    "missing": [n for n in names if getattr(fuzzysns, n, None) is None],
+    "unlisted": sorted(public - set(names)),
+    "oracle": sorted(set({ORACLE_NAMES!r}) - set(names)),
+    "star": sorted(set(star) ^ set(names)),
+}}))
 """
 
 
-def test_cli_import_loads_no_unneeded_module():
+@functools.cache
+def _probe() -> dict:
     done = _python_s("-c", _PROBE)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"loaded": [], "missing": []}
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_unneeded_module():
+    assert _probe()["loaded"] == []
+
+
+def test_all_lists_every_public_import_once():
+    faults = {k: v for k, v in _probe().items() if k != "loaded"}
+    rules = ("duplicate", "private", "module", "missing", "unlisted", "oracle", "star")
+    assert faults == dict.fromkeys(rules, [])
 
 
 def test_lazy_names_resolve_to_the_oracle_functions():
     from fuzzysns import oracle
 
-    for name in ("alpha_cut_check", "equivalence_suite", "random_dfn", "zadeh_oracle"):
-        assert name in fuzzysns.__all__
+    for name in ORACLE_NAMES:
         assert getattr(fuzzysns, name) is getattr(oracle, name)
     with pytest.raises(AttributeError):
         fuzzysns.not_a_name
