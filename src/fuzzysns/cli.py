@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 # run, scenario_from_json and format_scalar are called through this module's globals
 # because perfbench/tracer.py replaces them; ROADMAP item 8 removes that.
-from .carry import common_carry_dfn, common_carry_tri
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
 from .formats import (
     format_fraction,
@@ -32,7 +31,9 @@ from .formats import (
     scenario_from_json,
 )
 from .numbers import _shown, tfn_membership
-from .operators import REMAINDER_MODES, TransformOptions, TransformResult
+from .operators import (
+    REMAINDER_MODES, TransformOptions, TransformResult, common_carry_dfn, common_carry_tri,
+)
 from .scenario import Scenario, Trace, run
 
 PARSE_FAILURE = 2

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .errors import DomainError, InvalidRadixError, MixedFamilyError
 
 GradeLike = int | float | str | Fraction
-_ONE = Fraction(1)  # the grade of every crisp value lifted to a discrete one
+_ONE = Fraction(1)  # the grade of a lifted crisp value and of a formed carry's mode
 
 
 def _is_int(value) -> bool:

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from functools import reduce
 from types import SimpleNamespace
 
-from .carry import common_carry_dfn, common_carry_tri
-from .errors import OperatorSpecError
+from .errors import DomainError, OperatorSpecError
 from .numbers import (
-    CRISP, DISCRETE, TRIANGULAR, FuzzyScalar, TriangularFuzzyNumber, _Record,
-    _as_int, _check_natural, _check_radix, _lowest, _shown, dfn_floor_div, dfn_mod,
+    CRISP, DISCRETE, TRIANGULAR, DiscreteFuzzyNumber, FuzzyScalar, TriangularFuzzyNumber,
+    _ONE, _Record, _as_int, _check_natural, _check_radix, _lowest, _shown, dfn_floor_div, dfn_mod,
     dfn_zadeh_binary, joint_family, lift_discrete, lift_triangular,
     tfn_add, tfn_floor_div, tfn_mul, tfn_sub,
 )
@@ -46,8 +46,9 @@ class TransformOptions(_Record):
     """Knobs for the fuzzy paths.
 
     ``remainder_mode`` (one of ``REMAINDER_MODES``) selects correlated vs
-    cross-product discrete remainders; ``clamp_negative`` raises negative
-    remainder components or support values to zero instead of flagging them.
+    cross-product discrete remainders; ``clamp_negative`` raises negative remainder
+    support values, or a triangular remainder's lower bound, to zero instead of
+    flagging them (the mode and upper bound of a triangular remainder are never negative).
     """
 
     __slots__ = ("remainder_mode", "clamp_negative")
@@ -128,10 +129,53 @@ class _Family(SimpleNamespace):
     negative = ""
 
 
-# The lambdas look the module's functions up at call time, so a replaced attribute sees
-# every call: perfbench/tracer.py times them (until ROADMAP item 8), tests/test_oracle.py
-# swaps tfn_floor_div and dfn_mod, tests/test_operators.py records dfn_floor_div, dfn_mod
-# and tfn_floor_div.  Nothing replaces ``lift``.
+def common_carry_tri(partials: Sequence[TriangularFuzzyNumber]) -> TriangularFuzzyNumber:
+    """Componentwise minimum of the partial carries.
+
+    Commutative, associative and idempotent, so the fold order of the
+    operands never matters.
+    """
+    if not partials:
+        raise OperatorSpecError("common carry needs at least one partial carry")
+    return TriangularFuzzyNumber(
+        min(p.lower for p in partials),
+        min(p.mode for p in partials),
+        min(p.upper for p in partials),
+    )
+
+
+def _form_pair(a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber) -> DiscreteFuzzyNumber:
+    grades_a, grades_b = dict(a.points), dict(b.points)
+    if grades_a.keys().isdisjoint(grades_b):
+        # Disjoint supports: the partial with the least mode is the carry.
+        return a if a.mode <= b.mode else b
+    least_mode = min(a.mode, b.mode)
+    union, shared = grades_a.keys() | grades_b.keys(), grades_a.keys() & grades_b.keys()
+    out = {v: max(grades_a.get(v, 0), grades_b.get(v, 0)) for v in union if v < least_mode}
+    out[least_mode] = _ONE
+    out.update((v, min(grades_a[v], grades_b[v])) for v in shared if v > least_mode)
+    return DiscreteFuzzyNumber(out)
+
+
+def common_carry_dfn(partials: Sequence[DiscreteFuzzyNumber]) -> DiscreteFuzzyNumber:
+    """Form a discrete common carry, folding pairwise in operand order.
+
+    Pair rule: disjoint supports pick the least-mode partial.  Intersecting
+    supports meet at the least of the two modes, which keeps grade 1: below
+    it, the union of the supports, each value at its larger grade; above it,
+    the intersection, each value at its smaller grade.  The pair rule is not
+    known to be associative, so the operand order is the contract.
+    """
+    if not partials:
+        raise OperatorSpecError("common carry needs at least one partial carry")
+    for p in partials:
+        if not isinstance(p, DiscreteFuzzyNumber):
+            raise DomainError(f"expected a discrete fuzzy number, got {_shown(p)}")
+    return reduce(_form_pair, partials)
+
+
+# The lambdas look the module's functions up at call time, so that perfbench/tracer.py,
+# which replaces them as module attributes, sees every call.
 _FAMILIES = {
     CRISP: _Family(
         lift=lambda value: value,
@@ -159,7 +203,7 @@ _FAMILIES = {
         add=lambda a, b: tfn_add(a, b),
         sub=lambda a, b: tfn_sub(a, b),
         common=lambda partials: common_carry_tri(partials),
-        clamp=lambda t: TriangularFuzzyNumber(max(0, t.lower), max(0, t.mode), max(0, t.upper)),
+        clamp=lambda t: TriangularFuzzyNumber(max(0, t.lower), t.mode, t.upper),
         negative="has negative lower bound {}",
     ),
 }

@@ -32,6 +32,7 @@ from fuzzysns import (
     zadeh_oracle,
 )
 from fuzzysns import operators
+from fuzzysns.numbers import DISCRETE, TRIANGULAR
 
 EXTENSION = TransformOptions(remainder_mode="extension")
 
@@ -517,12 +518,16 @@ def test_crisp_radices_reach_the_family_arithmetic_lifted(
     monkeypatch, options, operands, family, called
 ):
     radices = []
-    for name in ("dfn_floor_div", "dfn_mod", "tfn_floor_div"):
-        def record(cardinal, radix, name=name, real=getattr(operators, name)):
+    discrete, triangular = operators._FAMILIES[DISCRETE], operators._FAMILIES[TRIANGULAR]
+    for name, fam, attr in (
+        ("dfn_floor_div", discrete, "floor_div"), ("dfn_mod", discrete, "correlated"),
+        ("tfn_floor_div", triangular, "floor_div"),
+    ):
+        def record(cardinal, radix, name=name, real=getattr(fam, attr)):
             radices.append((name, radix))
             return real(cardinal, radix)
 
-        monkeypatch.setattr(operators, name, record)
+        monkeypatch.setattr(fam, attr, record)
     apply_L(operands[0], 0, 3, 1, options=options)
     apply_F(operands, 0, (3, 2), 1, options=options)
     if options.remainder_mode == "extension":

@@ -1,4 +1,5 @@
 import operator
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -92,17 +93,19 @@ def test_equivalence_suite_catches_swapped_image_cardinals(monkeypatch):
 
 def test_equivalence_suite_catches_straight_triangular_division(monkeypatch):
     from fuzzysns import operators
+    from fuzzysns.numbers import TRIANGULAR
 
     def straight(num, div):  # pairs the divisor's bounds straight, not in reverse
         return tri(num.lower // div.lower, num.mode // div.mode, num.upper // div.upper)
 
-    monkeypatch.setattr(operators, "tfn_floor_div", straight)
+    monkeypatch.setattr(operators._FAMILIES[TRIANGULAR], "floor_div", straight)
     passed, total = equivalence_suite(0, 300)
     assert total == 300 and passed < 300
 
 
 def test_equivalence_suite_catches_a_larger_mode_common_carry(monkeypatch):
-    from fuzzysns import carry
+    from fuzzysns import operators
+    from fuzzysns.numbers import DISCRETE
 
     def larger_mode(a, b):  # the pair rule formed around the larger of the two modes
         grades_a, grades_b = dict(a.points), dict(b.points)
@@ -115,7 +118,9 @@ def test_equivalence_suite_catches_a_larger_mode_common_carry(monkeypatch):
                    if v > top)
         return dfn({**out, top: 1})
 
-    monkeypatch.setattr(carry, "_form_pair", larger_mode)
+    monkeypatch.setattr(
+        operators._FAMILIES[DISCRETE], "common", lambda partials: reduce(larger_mode, partials)
+    )
     passed, total = equivalence_suite(0, 300)
     assert total == 300 and passed < 300
 
@@ -134,7 +139,8 @@ def test_equivalence_suite_catches_a_discrete_clamp_against_one(monkeypatch):
 
 def test_equivalence_suite_catches_a_correlated_remainder_by_floor_division(monkeypatch):
     from fuzzysns import numbers, operators
+    from fuzzysns.numbers import DISCRETE
 
-    monkeypatch.setattr(operators, "dfn_mod", numbers.dfn_floor_div)
+    monkeypatch.setattr(operators._FAMILIES[DISCRETE], "correlated", numbers.dfn_floor_div)
     passed, total = equivalence_suite(0, 300)
     assert total == 300 and passed < 300

@@ -182,7 +182,8 @@ UNNEEDED = ("dataclasses", "inspect", "typing", "csv", "random", "fuzzysns.oracl
 ORACLE_NAMES = ("alpha_cut_check", "equivalence_suite", "random_dfn", "zadeh_oracle")
 
 # Each key but "loaded" lists the names that break the public-name rule: ``__all__``
-# is every public non-module global of ``fuzzysns`` plus the oracle's, each once.
+# is every public non-module global of ``fuzzysns`` plus the oracle's, each once, and
+# ``dir(fuzzysns)`` lists them all without importing the oracle.
 _PROBE = f"""
 import json, sys
 from types import ModuleType
@@ -190,6 +191,8 @@ import fuzzysns.cli
 loaded = sorted(m for m in {UNNEEDED!r} if m in sys.modules)
 import fuzzysns
 names = fuzzysns.__all__
+listed = dir(fuzzysns)
+dir_loaded = sorted({{"fuzzysns.oracle"}} & set(sys.modules))
 public = {{n for n, v in vars(fuzzysns).items() if n[0] != "_" and not isinstance(v, ModuleType)}}
 star = {{}}
 exec("from fuzzysns import *", star)
@@ -203,6 +206,8 @@ print(json.dumps({{
     "unlisted": sorted(public - set(names)),
     "oracle": sorted(set({ORACLE_NAMES!r}) - set(names)),
     "star": sorted(set(star) ^ set(names)),
+    "undir": sorted(set(names) - set(listed)),
+    "dir_loaded": dir_loaded,
 }}))
 """
 
@@ -220,7 +225,10 @@ def test_cli_import_loads_no_unneeded_module():
 
 def test_all_lists_every_public_import_once():
     faults = {k: v for k, v in _probe().items() if k != "loaded"}
-    rules = ("duplicate", "private", "module", "missing", "unlisted", "oracle", "star")
+    rules = (
+        "duplicate", "private", "module", "missing", "unlisted", "oracle", "star", "undir",
+        "dir_loaded",
+    )
     assert faults == dict.fromkeys(rules, [])
 
 

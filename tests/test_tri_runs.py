@@ -10,7 +10,8 @@ arguments' modes, the alpha = 1 rule:
 - partial carry ``N // n``, and the common carry of F and M, ``min`` of the
   partials in operand order;
 - remainder ``N - p * n``, each ``op`` by the rule in turn, then ``max(0, .)``
-  on each component when ``clamp_negative`` is set;
+  on each component when ``clamp_negative`` is set; only its lower bound can
+  be below 0, since p <= N // n keeps its mode and upper bound at 0 or above;
 - transformant ``p * r`` and new image ``image + p * r``.
 
 ``oracle.equivalence_suite`` checks the same rules one call at a time; this
@@ -61,6 +62,7 @@ def check_step(spec, before, result, clamp):
         assert result.common_carry is None
     for e, big_n, n in zip(spec.operands, operands, radices):
         rem = rule(sub, big_n, rule(mul, carry, n))
+        assert rem[1] >= 0 and rem[2] >= 0, rem
         if clamp:
             rem = tuple(max(0, x) for x in rem)
         assert triple(result.remainders[e]) == rem
