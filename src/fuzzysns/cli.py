@@ -38,6 +38,8 @@ from .scenario import Scenario, Trace, run
 
 PARSE_FAILURE = 2
 VALIDATION_FAILURE = 1
+# `table` builds every row before printing, so its row count is bounded.
+MAX_TABLE_ROWS = 10**6
 
 # Result fields in output order: CSV name, text label when the field holds one
 # value (None: always the prefix), and label prefix before an entity id.
@@ -202,6 +204,8 @@ def _table(number, resolution: int) -> list[str]:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.resolution < 2:
         raise DomainError("resolution must be at least 2")
+    if args.resolution > MAX_TABLE_ROWS:
+        raise DomainError(f"resolution must be at most {MAX_TABLE_ROWS}")
     _print(_table, parse_triangular(args.literal), args.resolution)
     return 0
 

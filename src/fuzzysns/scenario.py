@@ -3,8 +3,8 @@
 A scenario holds the initial state of a multeity (entity id -> cardinal), the
 operator steps to apply in order, and the transform options.  Running it
 yields a trace: per step, the transform result and a read-only view of the
-state after remainders go back to operands and new cardinals to images; each
-write is stored once, per entity, and the views read it there.  Evaluation is
+state after remainders go back to operands and new cardinals to images; the
+views read each value where the step result holds it.  Evaluation is
 single-pass and strictly sequential; remainders do not feed back into the
 same step, and entities a step does not name are untouched by it.  Steps are
 :class:`OperatorSpec` records; the valence of each :class:`Form`
@@ -98,22 +98,31 @@ class Diagnostic(_Record):
 
 
 class _State(Mapping):
-    """The multeity after step ``index``: a read-only view of the write history."""
+    """The multeity after step ``index``: a read-only view of the step results.
 
-    __slots__ = ("_history", "_index")
+    ``run`` is the (initial copy, write indices per entity, results) tuple all states share;
+    a written entity holds its last writer's remainder or new image cardinal, never both.
+    """
 
-    def __init__(self, history: dict[str, tuple[list[int], list]], index: int):
-        self._history, self._index = history, index
+    __slots__ = ("_run", "_index")
+
+    def __init__(self, run: tuple[Multeity, dict[str, list[int]], list], index: int):
+        self._run, self._index = run, index
 
     def __getitem__(self, entity_id: str) -> FuzzyScalar:
-        indices, values = self._history[entity_id]
-        return values[bisect_right(indices, self._index) - 1]
+        initial, writes, results = self._run
+        indices = writes[entity_id]
+        if not (k := bisect_right(indices, self._index)):
+            return initial[entity_id]
+        result = results[indices[k - 1]]
+        written = result.remainders
+        return written[entity_id] if entity_id in written else result.new_image_cardinals[entity_id]
 
     def __len__(self) -> int:
-        return len(self._history)
+        return len(self._run[1])
 
     def __iter__(self):
-        return iter(self._history)
+        return iter(self._run[1])
 
 
 class TraceStep(_Record):
@@ -204,30 +213,35 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
 
 
 def run(scenario: Scenario) -> Trace:
-    """Apply every step in order; each entity's write history is the one store.
+    """Apply every step in order; each written value is held once, by its step result.
 
-    Operands, images, step states and ``Trace.final`` read their values there.
+    Besides the results, only a copy of ``scenario.initial``, the steps that wrote each
+    entity and the current values (``Trace.final``) are kept; step states read these.
     Raises ScenarioValidationError if validation fails, StepExecutionError
     (with the step index) if a step fails.
     """
     diagnostics, joints = _plan(scenario)
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
-    history = {entity_id: ([-1], [value]) for entity_id, value in scenario.initial.items()}
+    current = dict(scenario.initial)
+    writes: dict[str, list[int]] = {entity_id: [] for entity_id in current}
+    results: list[TransformResult] = []
+    shared = (dict(current), writes, results)  # a copy: editing scenario.initial changes no state
     trace_steps: list[TraceStep] = []
     for index, (step, joint) in enumerate(zip(scenario.steps, joints)):
         try:
             result = _transform(
                 _FAMILIES[joint], step.form in ("F", "M"),
-                [history[e][1][-1] for e in step.operands],
-                [history[e][1][-1] for e in step.images],
+                [current[e] for e in step.operands], [current[e] for e in step.images],
                 step.radices, step.rates, scenario.options, step.operands, step.images,
             )
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
-        for entity_id, value in (*result.remainders.items(), *result.new_image_cardinals.items()):
-            history[entity_id][0].append(index)
-            history[entity_id][1].append(value)
-        trace_steps.append(TraceStep(index, step, result, _State(history, index)))
+        for written in (result.remainders, result.new_image_cardinals):
+            current.update(written)
+            for entity_id in written:
+                writes[entity_id].append(index)
+        results.append(result)
+        trace_steps.append(TraceStep(index, step, result, _State(shared, index)))
     warnings = tuple(f"step {t.index}: {w}" for t in trace_steps for w in t.result.warnings)
-    return Trace(tuple(trace_steps), {e: h[1][-1] for e, h in history.items()}, warnings)
+    return Trace(tuple(trace_steps), current, warnings)

@@ -25,6 +25,7 @@ from fuzzysns import (
     scenario_from_json,
     scenario_to_json,
 )
+from fuzzysns import cli
 from fuzzysns.cli import main
 
 
@@ -307,6 +308,16 @@ class TestTable:
 
     def test_bad_literal_exits_2(self, capsys):
         assert main(["table", "(0;1)", "--resolution", "3"]) == 2
+
+    def test_resolution_above_the_bound_exits_1_before_any_row(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "_table", no_rows)
+        assert main(["table", "(0;1;2)", "--resolution", str(10**100)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: resolution must be at most {cli.MAX_TABLE_ROWS}\n"
 
 
 class TestOracleCheck:

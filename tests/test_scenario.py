@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -256,6 +257,7 @@ class TestTraceStates:
             expected.update(step.result.remainders)
             expected.update(step.result.new_image_cardinals)
             assert step.state == expected
+            assert all(step.state[e] is value for e, value in expected.items())
             assert len(step.state) == len(expected)
             assert list(step.state.items()) == list(expected.items())
         assert type(trace.final) is dict
@@ -266,6 +268,27 @@ class TestTraceStates:
         with pytest.raises(TypeError):
             trace.steps[0].state["x"] = 0
         assert dict(trace.steps[0].state) == {"i": 1, "j": 14}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_states_ignore_later_edits_of_the_initial_multeity(self, seed):
+        scenario = _random_scenario(seed)
+        trace = run(scenario)
+        before = [dict(step.state) for step in trace.steps]
+        for entity_id in scenario.initial:
+            scenario.initial[entity_id] = object()
+        assert [dict(step.state) for step in trace.steps] == before
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_trace_is_freed_by_reference_counting(self, seed):
+        scenario = _random_scenario(seed)
+        gc.disable()
+        try:
+            gc.collect()
+            trace = run(scenario)
+            del trace
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_long_chain_stores_no_state_copies(self):
         # One copy of a 1500-entity state per step would take tens of megabytes.
