@@ -127,7 +127,8 @@ def _scalar_to_json(value: FuzzyScalar) -> object:
     if isinstance(value, TriangularFuzzyNumber):
         return [value.lower, value.mode, value.upper]
     if isinstance(value, DiscreteFuzzyNumber):
-        return [[v, _grade_text(g.as_integer_ratio())] for v, g in value.points]
+        pairs = zip(value.support, value.grades)
+        return [[v, _grade_text(g.as_integer_ratio())] for v, g in pairs]
     return value
 
 

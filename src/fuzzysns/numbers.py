@@ -1,8 +1,9 @@
 """Fuzzy number representations and the arithmetic primitives built on them.
 
 Two representations are supported: triangular fuzzy numbers, stored as an
-integer triple (lower; mode; upper), and discrete fuzzy numbers, stored as a
-finite map from integer support values to membership grades.  Grades are exact
+integer triple (lower; mode; upper), and discrete fuzzy numbers, stored as two
+parallel tuples: the sorted integer support values and their membership
+grades.  The (value, grade) pairs are derived on first read.  Grades are exact
 ``fractions.Fraction`` values in (0, 1] so that equality checks and round-trips
 never suffer binary-float drift.  A plain ``int`` plays the role of a crisp
 value; ``FuzzyScalar`` is the union of the three.
@@ -139,20 +140,21 @@ def _grade_text(ratio: tuple[int, int]) -> str:
 
 
 class _Record:
-    """A frozen record: ``_init`` sets each ``__slots__`` field once, by its descriptor's setter.
+    """A frozen record: ``_init`` sets ``__slots__`` entries in order, once, by their setters.
 
-    Equality and hash go by the field tuple, within one class; the repr is
-    ``Name(field=value, ...)``; copies and pickles are rebuilt by ``__init__``.
+    The fields are ``__match_args__``, ``__slots__`` unless a class names
+    them.  Equality and hash go by the field tuple, within one class; the repr
+    is ``Name(field=value, ...)``; copies and pickles are rebuilt by ``__init__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls.__match_args__ = cls.__slots__
+        fields = cls.__match_args__ = vars(cls).get("__match_args__", cls.__slots__)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-        get = operator.attrgetter(*cls.__slots__)  # the bare value for a single field
-        cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        get = operator.attrgetter(*fields)  # the bare value for a single field
+        cls._fields = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def _init(self, *values) -> None:
         for set_field, value in zip(self._setters, values):
@@ -167,7 +169,7 @@ class _Record:
         return hash(self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -208,13 +210,20 @@ class TriangularFuzzyNumber(_Record):
 class DiscreteFuzzyNumber(_Record):
     """Finite, normal fuzzy number: integer support values with exact grades.
 
-    ``points`` is canonicalised at construction into a tuple of (value, grade)
-    pairs sorted by support value.  Any mapping or iterable of pairs is
-    accepted; grades go through :func:`as_grade`.  At least one grade must be
-    exactly 1 (normality), so every number has a mode.
+    A number is stored as two parallel tuples: ``support``, its values in
+    increasing order, and ``grades``, the grade of each.  Any mapping or
+    iterable of (value, grade) pairs is accepted; grades go through
+    :func:`as_grade`.  At least one grade must be exactly 1 (normality), so
+    every number has a mode.
+
+    The record's one field is ``points``, the (value, grade) pairs in support
+    order: repr, equality, hash, match, copies and pickles go by it.  It is
+    derived from the two tuples on first read and kept, so a number that is
+    only computed with never builds its pairs.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("support", "grades", "_points")
+    __match_args__ = ("points",)
 
     # __post_init__ is a method of its own so perfbench/tracer.py can wrap it to count
     # numbers.dfn_new; ROADMAP item 8 folds it back into __init__.
@@ -233,7 +242,8 @@ class DiscreteFuzzyNumber(_Record):
             raise DomainError("support must be nonempty")
         if not any(g == 1 for g in seen.values()):
             raise DomainError("discrete fuzzy number must be normal (some grade == 1)")
-        self._init(tuple(sorted(seen.items())))
+        support = tuple(sorted(seen))
+        self._init(support, tuple(map(seen.__getitem__, support)))
 
     @classmethod
     def _trusted(cls, out: dict[int, Fraction]) -> DiscreteFuzzyNumber:
@@ -243,31 +253,36 @@ class DiscreteFuzzyNumber(_Record):
         construction, or are checked by :func:`dfn_zadeh_binary` (module docstring).
         """
         number = object.__new__(cls)
-        object.__setattr__(number, "points", tuple(sorted(out.items())))
+        support = tuple(sorted(out))
+        object.__setattr__(number, "support", support)
+        object.__setattr__(number, "grades", tuple(map(out.__getitem__, support)))
         return number
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.points)
+    def points(self) -> tuple[tuple[int, Fraction], ...]:
+        if not hasattr(self, "_points"):
+            object.__setattr__(self, "_points", tuple(zip(self.support, self.grades)))
+        return self._points
 
     @property
     def mode(self) -> int:
         """Smallest support value carrying grade exactly 1."""
-        return next(v for v, g in self.points if g == 1)
+        return self.support[self.grades.index(1)]
 
     @property
     def is_singleton(self) -> bool:
-        return len(self.points) == 1
+        return len(self.support) == 1
 
     def grade(self, value: int) -> Fraction:
-        """Membership of ``value``: 0 off the support; a bisection over ``points``."""
-        index = bisect_left(self.points, (value,))
-        if index < len(self.points) and self.points[index][0] == value:
-            return self.points[index][1]
+        """Membership of ``value``: 0 off the support; a bisection over ``support``."""
+        index = bisect_left(self.support, value)
+        if index < len(self.support) and self.support[index] == value:
+            return self.grades[index]
         return Fraction(0)
 
     def __str__(self) -> str:
-        literals = (f"{v}|{_grade_text(g.as_integer_ratio())}" for v, g in self.points)
+        pairs = zip(self.support, self.grades)
+        literals = (f"{v}|{_grade_text(g.as_integer_ratio())}" for v, g in pairs)
         return "{" + ", ".join(literals) + "}"
 
 
@@ -334,7 +349,7 @@ def _lowest(value: FuzzyScalar) -> int:
     if isinstance(value, TriangularFuzzyNumber):
         return value.lower
     if isinstance(value, DiscreteFuzzyNumber):
-        return value.points[0][0]
+        return value.support[0]
     return _as_int(value, "crisp value")
 
 
@@ -355,7 +370,7 @@ def crisp_value(value: FuzzyScalar) -> int | None:
     if isinstance(value, TriangularFuzzyNumber):
         return value.mode if value.is_crisp else None
     if isinstance(value, DiscreteFuzzyNumber):
-        return value.points[0][0] if value.is_singleton else None
+        return value.support[0] if value.is_singleton else None
     return _as_int(value, "crisp value")
 
 
@@ -421,7 +436,7 @@ def _grade_levels(a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber) -> list:
     """
     buckets: dict[tuple[int, int], tuple[Fraction, list[int], list[int]]] = {}
     for side, number in ((1, a), (2, b)):
-        for v, g in number.points:
+        for v, g in zip(number.support, number.grades):
             key = g.as_integer_ratio()
             level = buckets.get(key)
             if level is None:
@@ -442,8 +457,8 @@ def _cut_sums(
     take its grade.
     """
     sign = -1 if subtract else 1
-    a_low = a.points[0][0]
-    b_low = -b.points[-1][0] if subtract else b.points[0][0]
+    a_low = a.support[0]
+    b_low = -b.support[-1] if subtract else b.support[0]
     base = a_low + b_low
     cut_a = cut_b = reached = 0
     out: dict[int, Fraction] = {}
@@ -499,8 +514,8 @@ def dfn_zadeh_binary(
             raise DomainError(message)
     levels = _grade_levels(a, b)
     if op is operator.add or op is operator.sub:
-        width = (a.points[-1][0] - a.points[0][0]) + (b.points[-1][0] - b.points[0][0]) + 1
-        if width <= len(a.points) * len(b.points):
+        width = (a.support[-1] - a.support[0]) + (b.support[-1] - b.support[0]) + 1
+        if width <= len(a.support) * len(b.support):
             return _cut_sums(levels, a, b, op is operator.sub)
     seen_a: list[int] = []
     seen_b: list[int] = []

@@ -145,7 +145,7 @@ def common_carry_tri(partials: Sequence[TriangularFuzzyNumber]) -> TriangularFuz
 
 
 def _form_pair(a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber) -> DiscreteFuzzyNumber:
-    grades_a, grades_b = dict(a.points), dict(b.points)
+    grades_a, grades_b = dict(zip(a.support, a.grades)), dict(zip(b.support, b.grades))
     if grades_a.keys().isdisjoint(grades_b):
         # Disjoint supports: the partial with the least mode is the carry.
         return a if a.mode <= b.mode else b

@@ -1,5 +1,6 @@
 import json
 import operator
+import random
 import re
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from fuzzysns import (
     OperatorSpec,
     Scenario,
     as_grade,
+    common_carry_dfn,
     crisp_value,
     dfn_floor_div,
     dfn_mod,
@@ -27,6 +29,8 @@ from fuzzysns import (
     format_fraction,
     lift_discrete,
     lift_triangular,
+    parse_scalar,
+    scenario_from_json,
     scenario_to_json,
     tfn_add,
     tfn_floor_div,
@@ -36,7 +40,7 @@ from fuzzysns import (
     tfn_sub,
     zadeh_oracle,
 )
-from fuzzysns import numbers
+from fuzzysns import numbers, operators
 from fuzzysns.numbers import _cut_sums, _grade_levels, _grade_text
 
 
@@ -456,6 +460,83 @@ class TestTrustedKernelResult:
         assert checked == []
         product = dfn_zadeh_binary(operator.mul, a, b)  # the pair loop: each value once
         assert sorted(checked) == list(product.support)
+
+
+# A number stores ``support`` and ``grades``; ``points`` is derived on first read.
+def _kept_per_point(build, count):
+    """Bytes per point that ``build()`` keeps alive, its ints and grades already existing."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        number = build()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(number.support) == count
+    return kept / count
+
+
+def _seeded_number(rng, low=-20, high=40):
+    values = rng.sample(range(low, high), rng.randint(1, 12))
+    grades = {v: Fraction(rng.randint(1, 6), 6) for v in values}
+    grades[rng.choice(values)] = Fraction(1)
+    return grades
+
+
+def _construction_paths(seed):
+    """One number from each way a discrete number is built, by name."""
+    rng = random.Random(f"paths-{seed}")
+    a, b = dfn(_seeded_number(rng)), dfn(_seeded_number(rng))
+    dense = [dfn({k: Fraction(1, 2) for k in range(12)} | _seeded_number(rng, 0, 12))
+             for _ in range(2)]
+    bitset, ran = _kernel_path(rng.choice((operator.add, operator.sub)), *dense)
+    assert ran
+    disjoint = dfn({v + 100: g for v, g in _seeded_number(rng).items()})
+    negative = dfn(_seeded_number(rng, -20, 0) | _seeded_number(rng, 0, 20))
+    literal = "{" + ", ".join(f"{v}|{g}" for v, g in _seeded_number(rng).items()) + "}"
+    document = scenario_to_json(Scenario({"a": a, "b": 3}, []))
+    return {
+        "mapping": a,
+        "pairs": DiscreteFuzzyNumber(list(_seeded_number(rng).items())),
+        "bitset": bitset,
+        "pair-loop": dfn_zadeh_binary(operator.mul, a, b),
+        "clamp": operators._FAMILIES[numbers.DISCRETE].clamp(negative),
+        "common-carry": common_carry_dfn([a, dfn(dict(zip(a.support, a.grades[::-1])))]),
+        "common-carry-disjoint": common_carry_dfn([a, disjoint]),
+        "parse": parse_scalar(literal),
+        "parse-json": scenario_from_json(document).initial["a"],
+        "lift": lift_discrete(rng.randint(-5, 5)),
+    }
+
+
+class TestStoredTuples:
+    COUNT = 10_000
+
+    def _out(self):
+        grades = [Fraction(k, 7) for k in range(1, 8)]
+        return {v: grades[v % 7] for v in range(10**6, 10**6 + self.COUNT)}
+
+    def test_trusted_keeps_under_32_bytes_per_point(self):
+        out = self._out()
+        assert _kept_per_point(lambda: DiscreteFuzzyNumber._trusted(out), self.COUNT) < 32
+
+    def test_validating_constructor_keeps_under_32_bytes_per_point(self):
+        pairs = list(self._out().items())
+        assert _kept_per_point(lambda: DiscreteFuzzyNumber(pairs), self.COUNT) < 32
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_construction_path_agrees(self, seed):
+        for name, number in _construction_paths(seed).items():
+            assert type(number) is DiscreteFuzzyNumber, name
+            support, grades = number.support, number.grades
+            assert number.support is support and number.grades is grades, name
+            assert type(support) is tuple and type(grades) is tuple, name
+            assert all(type(v) is int for v in support), name
+            assert all(x < y for x, y in zip(support, support[1:])), name
+            assert all(type(g) is Fraction and 0 < g <= 1 for g in grades), name
+            assert number.points == tuple(zip(support, grades)), name
+            assert number.points is number.points, name
+            assert DiscreteFuzzyNumber(number.points) == number, name
 
 
 def _denominators():

@@ -306,6 +306,56 @@ class TestTraceStates:
         assert peak < 10 * 1024 * 1024
 
 
+def _discrete_scenario(seed):
+    """Discrete entities and radices over every form, extension remainders, clamped."""
+    rng = random.Random(f"discrete-{seed}")
+
+    def number(low, high):
+        values = rng.sample(range(low, high), rng.randint(1, min(10, high - low)))
+        grades = {v: Fraction(rng.randint(1, 4), 4) for v in values}
+        grades[rng.choice(values)] = 1
+        return dfn(grades)
+
+    names = [f"e{k}" for k in range(8)]
+    steps = []
+    for _ in range(12):
+        form = rng.choice(list(Form))
+        w = 1 if form in (Form.L, Form.D) else 2
+        v = 1 if form in (Form.L, Form.F) else 2
+        picked = rng.sample(names, w + v)
+        radices = [number(2, 7) for _ in range(w)]
+        rates = [number(0, 3) for _ in range(v)]
+        steps.append(OperatorSpec(form, picked[:w], picked[w:], radices, rates))
+    initial = {name: number(0, 40) for name in names}
+    return Scenario(initial, steps, TransformOptions("extension", clamp_negative=True))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_run_builds_no_pair_tuple(monkeypatch, seed):
+    # A number stores its support and grades; its (value, grade) pairs are built
+    # only when ``points`` is read, and nothing on the eval path reads it.
+    clamped = []
+    kernel = operators.dfn_zadeh_binary
+
+    def spy(op, a, b):
+        clamped.append(op is max)
+        return kernel(op, a, b)
+
+    monkeypatch.setattr(operators, "dfn_zadeh_binary", spy)
+    trace = run(_discrete_scenario(seed))
+    assert any(clamped)
+    numbers = list(trace.final.values())
+    for step in trace.steps:
+        result = step.result
+        numbers += [*step.spec.radices, *step.spec.rates, *step.state.values()]
+        numbers += [result.common_carry] * (result.common_carry is not None)
+        for values in (result.partial_carries, result.remainders, result.transformants,
+                       result.new_image_cardinals):
+            numbers += values.values()
+    assert {family(n) for n in numbers} == {"discrete"}
+    assert not [n for n in numbers if hasattr(n, "_points")]
+
+
 def _three_family_scenario(seed):
     """Crisp, discrete and triangular entities; steps may turn a crisp one fuzzy."""
     rng = random.Random(f"family-flow-{seed}")
