@@ -5,8 +5,9 @@ trace, ``carry`` forms a common carry from inline literals, ``table`` samples
 a triangular membership function into CSV, and ``oracle-check`` runs the
 randomized brute-force equivalence suite.  The text, JSON and CSV traces
 render one walk over each step's result (:func:`_walk`) into a list of output
-chunks (text and CSV: :func:`_blocks` of lines), all formatted before :func:`_print`
-writes the first.  Subcommands raise; only :func:`main` maps errors to exit codes:
+chunks (JSON: one per step; text, CSV and ``table``: lines joined into blocks as
+made, :func:`_in_blocks`), all formatted before :func:`_print` writes the first,
+each as given.  Subcommands raise; only :func:`main` maps errors to exit codes:
 0 success, 1 validation or runtime failure (a result too long to print, or a stdout
 that cannot be written, included), 2 parse failure (an unreadable file included).
 """
@@ -66,22 +67,20 @@ def _walk(result: TransformResult):
             yield name, csv_name, label, entity_id, literal
 
 
-def _blocks(lines):
-    """``lines`` joined into ~64 KiB blocks as they come: few writes, no line outlives its block."""
-    block, size = [], 0
-    for line in lines:
-        block.append(line)
-        size += len(line)
-        if size >= 1 << 16:
-            yield "\n".join(block)
-            block, size = [], 0
-    if block:
-        yield "\n".join(block)
-
-
 def _in_blocks(lines):
-    """A renderer: the :func:`_blocks` of the lines the generator ``lines(*args)`` yields."""
-    return lambda *args: [*_blocks(lines(*args))]
+    """A renderer: the lines ``lines(*args)`` yields, joined into ~64 KiB blocks as they come."""
+    def render(*args) -> list[str]:
+        blocks, block, size = [], [], 0
+        for line in lines(*args):
+            block.append(line)
+            size += len(line)
+            if size >= 1 << 16:
+                blocks.append("\n".join(block))
+                block, size = [], 0
+        if block:
+            blocks.append("\n".join(block))
+        return blocks
+    return render
 
 
 @_in_blocks
@@ -101,6 +100,7 @@ def _json_block(head: str, lines, tail: str, pad: str) -> str:
     return head + "\n" + ",\n".join(lines) + "\n" + pad + tail if lines else head + tail
 
 
+# One chunk per step, written as is: each is a step's text already; joining them cost peak RSS.
 def _trace_json(trace: Trace) -> list[str]:
     # Each entity's state line, encoded once: from step 0's state, then as each step writes it.
     seed = trace.steps[0].state if trace.steps else trace.final
@@ -144,16 +144,13 @@ def _trace_csv(trace: Trace):
     yield from (row(["", "", "final", k, format_scalar(v)]) for k, v in trace.final.items())
 
 
-# Text and CSV lines are joined into blocks as made, JSON chunks only at write time (_print):
-# each way has the lower peak RSS, by over 0.1 MB (see CHANGES.md).
 _RENDERERS = {"text": _trace_text, "json": _trace_json, "csv": _trace_csv}
 
 
 def _print(render, *args, warnings=()) -> None:
-    """Print the list of strings ``render(*args)`` returns, one per line, as one joined text would.
+    """Print each string of the list ``render(*args)`` returns, as given, on a line of its own.
 
     A number too long to print is a DomainError raised before any output, ``warnings`` included.
-    Chunks go out joined into :func:`_blocks`; a block of its own passes through uncopied.
     """
     try:
         chunks = render(*args)
@@ -161,8 +158,8 @@ def _print(render, *args, warnings=()) -> None:
         raise DomainError(f"cannot print the result: {exc}") from exc
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    for block in _blocks(chunks):
-        print(block)
+    for chunk in chunks:
+        print(chunk)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -192,13 +189,13 @@ def cmd_carry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table(number, resolution: int) -> list[str]:
+@_in_blocks
+def _table(number, resolution: int):
     span = Fraction(number.upper - number.lower)
-    lines = ["x,mu"]
+    yield "x,mu"
     for k in range(resolution):
         x = Fraction(number.lower) + span * k / (resolution - 1)
-        lines.append(f"{format_fraction(x)},{format_fraction(tfn_membership(x, number))}")
-    return lines
+        yield f"{format_fraction(x)},{format_fraction(tfn_membership(x, number))}"
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -89,27 +89,29 @@ def _fraction_from_text(text: str) -> Fraction:
         raise DomainError(f"not a number: {_shown(text)}") from exc
 
 
-def as_grade(value: GradeLike) -> Fraction:
-    """Coerce a membership grade to an exact Fraction in (0, 1].
-
-    Floats are read through their decimal repr, so 0.3 means exactly 3/10.
-    """
+def _exact(value, what: str) -> Fraction:
+    """The one exact-number rule: a Fraction as given, an int (not a bool) as a Fraction, a
+    float by its decimal repr (0.3 is 3/10), text by :func:`_fraction_from_text` (bounded)."""
     if isinstance(value, Fraction):
-        grade = value
-    elif _is_int(value):
-        grade = Fraction(value)
-    elif isinstance(value, (float, str)):
-        grade = _fraction_from_text(repr(value) if isinstance(value, float) else value)
-    else:
-        raise DomainError(f"grade must be numeric, got {_shown(value)}")
+        return value
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, (float, str)):
+        return _fraction_from_text(repr(value) if isinstance(value, float) else value)
+    raise DomainError(f"{what} must be numeric, got {_shown(value)}")
+
+
+def as_grade(value: GradeLike) -> Fraction:
+    """Coerce a membership grade to an exact Fraction in (0, 1], by :func:`_exact`."""
+    grade = _exact(value, "grade")
     if not 0 < grade <= 1:  # an int grade is shown as an int: by its size past the digit limit
         raise DomainError(f"grade {_shown(value if _is_int(value) else grade, str)} outside (0, 1]")
     return grade
 
 
-def format_fraction(value: Fraction | int) -> str:
-    """Exact decimal when the denominator is 2^a * 5^b, else "p/q"."""
-    f = Fraction(value)
+def format_fraction(value: GradeLike) -> str:
+    """Exact decimal when the denominator is 2^a * 5^b, else "p/q"; read by :func:`_exact`."""
+    f = _exact(value, "value")
     if f.denominator == 1:
         return str(f.numerator)
     reduced = f.denominator
@@ -380,10 +382,10 @@ def tfn_membership(x, a: TriangularFuzzyNumber) -> Fraction:
     """Membership grade of x under the triple's piecewise-linear profile.
 
     Rising edge on [lower, mode], falling edge on [mode, upper], zero outside;
-    a degenerate edge contributes grade 1 at the shared point.  Exact result
-    for exact inputs (floats are read via their decimal repr).
+    a degenerate edge contributes grade 1 at the shared point.  Exact result;
+    ``x`` is read by :func:`_exact` (a float through its decimal repr).
     """
-    x = Fraction(repr(x) if isinstance(x, float) else x)
+    x = _exact(x, "x")
     if x < a.lower or x > a.upper:
         return Fraction(0)
     if x == a.mode:

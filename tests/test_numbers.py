@@ -102,6 +102,19 @@ class TestMembership:
     def test_falling_edge(self):
         assert tfn_membership(8, tri(4, 7, 9)) == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ("abc", "not a number: 'abc'"),
+            (None, "x must be numeric, got None"),
+            (True, "x must be numeric, got True"),
+            ("1e4000000", "number '1e4000000' has an exponent beyond +-4300"),
+        ],
+    )
+    def test_x_that_is_not_an_exact_number_is_a_domain_error(self, x, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            tfn_membership(x, tri(4, 7, 9))
+
 
 class TestTriangularArithmetic:
     def test_sub_swaps_bounds(self):
@@ -232,6 +245,10 @@ class TestDiscreteInvariants:
             as_grade(text)
         with pytest.raises(DomainError, match=re.escape(f"not a number: {text!r}")):
             DiscreteFuzzyNumber({1: text})
+        with pytest.raises(DomainError, match=re.escape(f"not a number: {text!r}")):
+            tfn_membership(text, tri(4, 7, 9))
+        with pytest.raises(DomainError, match=re.escape(f"not a number: {text!r}")):
+            format_fraction(text)
 
 
 class TestZadehBinary:
@@ -569,11 +586,28 @@ class TestGradeLiterals:
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
     @pytest.mark.parametrize(
-        "value, text", [(Fraction(1, 3), "1/3"), (Fraction(5, 8), "0.625"), (7, "7"), (-3, "-3")]
+        "value, text",
+        [
+            (Fraction(1, 3), "1/3"), (Fraction(5, 8), "0.625"), (7, "7"), (-3, "-3"),
+            # A float is read through its decimal repr, as ``as_grade`` reads it.
+            (0.1, "0.1"), (2.5e-7, "0.00000025"),
+        ],
     )
     def test_format_fraction_is_unchanged_and_uncached(self, value, text):
         assert format_fraction(value) == text
         assert not hasattr(format_fraction, "cache_info")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e2000000", "number '1e2000000' has an exponent beyond +-4300"),
+            (None, "value must be numeric, got None"),
+            (True, "value must be numeric, got True"),
+        ],
+    )
+    def test_format_fraction_refuses_what_is_not_an_exact_number(self, value, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            format_fraction(value)
 
 
 # --- the two sides of the sup-min kernel ---------------------------------------

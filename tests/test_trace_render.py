@@ -1,6 +1,6 @@
 """The ``eval`` renderers: pinned output digests and a reference writer.
 
-The renderers return lists of chunks that ``eval`` prints one per line.  The
+The renderers return lists of chunks that ``eval`` prints one per line, as given.  The
 reference below builds the whole JSON document and dumps it with
 ``json.dumps(doc, indent=2)``, and writes the CSV into one ``StringIO``; the
 chunked writers must print the same bytes.
@@ -165,10 +165,24 @@ def test_random_traces_match_the_reference():
     assert rendered > 250
 
 
+def _assert_in_blocks(chunks):
+    lines = [chunk.split("\n") for chunk in chunks]
+    # Each block is under 64 KiB of lines plus the one that fills it, and all but the last fill it.
+    assert all(sum(map(len, block[:-1])) < 1 << 16 for block in lines)
+    assert len(chunks) > 1 and all(sum(map(len, block)) >= 1 << 16 for block in lines[:-1])
+
+
+# sha256 of the 20,001 lines of ``table "(0;1;1000)" --resolution 20000``, 593 KB.
+_TABLE_DIGEST = "aacd6907c660a969b362c6c286d06376fa98626cfcab445ff2b51917eb1b6a27"
+
+
 def test_table_and_text_render_lists():
     trace = _pinned_traces()[2]
     for chunks in (cli._trace_text(trace), cli._table(tri(4, 7, 9), 6)):
         assert isinstance(chunks, list) and all(type(chunk) is str for chunk in chunks)
+    chunks = cli._table(tri(0, 1, 1000), 20000)
+    _assert_in_blocks(chunks)
+    assert hashlib.sha256("\n".join(chunks).encode("utf-8")).hexdigest() == _TABLE_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -195,9 +209,6 @@ _CHAIN_DIGESTS = {
 @pytest.mark.parametrize("fmt", _CHAIN_DIGESTS)
 def test_long_text_and_csv_traces_are_rendered_as_blocks(fmt):
     chunks = cli._RENDERERS[fmt](run(scenario_from_json(chain_document(3000))))
-    lines = [chunk.split("\n") for chunk in chunks]
-    # Each block is under 64 KiB of lines plus the one that fills it, and all but the last fill it.
-    assert all(sum(map(len, block[:-1])) < 1 << 16 for block in lines)
-    assert len(chunks) > 1 and all(sum(map(len, block)) >= 1 << 16 for block in lines[:-1])
+    _assert_in_blocks(chunks)
     text = "\n".join(chunks) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _CHAIN_DIGESTS[fmt]
