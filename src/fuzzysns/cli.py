@@ -3,13 +3,13 @@
 Subcommands: ``eval`` runs a scenario file and prints the transformation
 trace, ``carry`` forms a common carry from inline literals, ``table`` samples
 a triangular membership function into CSV, and ``oracle-check`` runs the
-randomized brute-force equivalence suite.  The text, JSON and CSV traces
-render one walk over each step's result (:func:`_walk`) into a list of output
-chunks (JSON: one per step; text, CSV and ``table``: lines joined into blocks as
-made, :func:`_in_blocks`), all formatted before :func:`_print` writes the first,
-each as given.  Subcommands raise; only :func:`main` maps errors to exit codes:
-0 success, 1 validation or runtime failure (a result too long to print, or a stdout
-that cannot be written, included), 2 parse failure (an unreadable file included).
+randomized brute-force equivalence suite.  The text, JSON and CSV traces render
+one walk over each step result's flat values (:func:`_walk`, which builds no map)
+into a list of output chunks (JSON: one per step; text, CSV and ``table``: lines
+joined into blocks as made, :func:`_in_blocks`), all formatted before :func:`_print`
+writes the first, each as given.  Subcommands raise; only :func:`main` maps errors to
+exit codes: 0 success, 1 validation or runtime failure (a result too long to print, or
+a stdout that cannot be written, included), 2 parse failure (an unreadable file included).
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ def _walk(result: TransformResult):
 
     The common carry has entity id None, and literal None when none was formed.
     """
-    for name, csv_name, sole, prefix in _FIELDS:
-        value = getattr(result, name)
-        items = value.items() if isinstance(value, dict) else [(None, value)]
-        for entity_id, scalar in items:
-            label = sole if len(items) == 1 and sole else prefix + _shown(entity_id, str)
+    columns = result._columns()
+    columns.insert(1, ((None,), (result.common_carry,)))
+    for (name, csv_name, sole, prefix), (ids, values) in zip(_FIELDS, columns):
+        for entity_id, scalar in zip(ids, values):
+            label = sole if len(ids) == 1 and sole else prefix + _shown(entity_id, str)
             literal = None if scalar is None else format_scalar(scalar)
             yield name, csv_name, label, entity_id, literal
 

@@ -67,25 +67,42 @@ DEFAULT_OPTIONS = TransformOptions()
 class TransformResult(_Record):
     """Everything one operator application produces.
 
-    Maps are keyed by entity id in operand/image order; ``common_carry`` is
-    None for L and D.  ``warnings`` records validation issues (negative
-    remainder bounds) that are reported but do not fail the call.
+    Maps are keyed by entity id in operand/image order; ``common_carry`` is None for L and D.
+    ``warnings`` records nonfatal problems (negative remainder bounds) that are reported but
+    do not fail the call.  Stored flat, as each map's id tuple and one tuple of all their
+    values in field order; the maps are built on first read and kept (the constructor keeps
+    the dicts it is given), so callers must not mutate them.
     """
 
-    __slots__ = (
-        "partial_carries", "common_carry", "remainders", "transformants",
-        "new_image_cardinals", "warnings",
-    )
+    __slots__ = ("_carry_ids", "_remainder_ids", "_transformant_ids", "_image_ids", "_values",
+                 "common_carry", "warnings", "_maps")
+    __match_args__ = ("partial_carries", "common_carry", "remainders", "transformants",
+                      "new_image_cardinals", "warnings")
 
     def __init__(
         self, partial_carries: dict[str, FuzzyScalar], common_carry: FuzzyScalar | None,
         remainders: dict[str, FuzzyScalar], transformants: dict[str, FuzzyScalar],
         new_image_cardinals: dict[str, FuzzyScalar], warnings: tuple[str, ...] = (),
     ):
-        self._init(
-            partial_carries, common_carry, remainders, transformants, new_image_cardinals,
-            warnings,
-        )
+        maps = [partial_carries, remainders, transformants, new_image_cardinals]
+        values = tuple(v for m in maps for v in m.values())
+        self._init(*map(tuple, maps), values, common_carry, warnings, maps)
+
+    def _columns(self) -> list[tuple[tuple, tuple]]:
+        """Each map's (ids, values) in field order, read from the flat form: builds no map."""
+        p, r, q, n = self._carry_ids, self._remainder_ids, self._transformant_ids, self._image_ids
+        values, a = self._values, len(p)
+        b = a + len(r)
+        c = b + len(q)
+        return [(p, values[:a]), (r, values[a:b]), (q, values[b:c]), (n, values[c:])]
+
+    def _map(self, k: int) -> dict[str, FuzzyScalar]:
+        if not hasattr(self, "_maps"):
+            self._setters[-1](self, [dict(zip(*column)) for column in self._columns()])
+        return self._maps[k]
+
+    partial_carries, remainders, transformants, new_image_cardinals = (
+        property(lambda self, k=k: self._map(k)) for k in range(4))
 
     def _single(self, mapping: dict, what: str) -> FuzzyScalar:
         if len(mapping) != 1:
@@ -265,12 +282,12 @@ def _transform(
 ) -> TransformResult:
     """Carry, common carry, remainders, transformants and images of one call in ``fam``.
 
-    ``fused`` is True for F and M: a common carry is formed even from a single
-    partial, and remainders always subtract it by extension.  Otherwise (L and
-    D, one operand) the partial carry is the carry and discrete remainders
-    follow ``options.remainder_mode``.  Counts, ids, radices and rates come
-    checked, by :func:`_apply` or by ``scenario.validate``; the run-time
-    values, operands and the images of a crisp call, are checked here.
+    ``fused`` is True for F and M: a common carry is formed even from a single partial, and
+    remainders always subtract it by extension.  Otherwise (L and D, one operand) the partial
+    carry is the carry and discrete remainders follow ``options.remainder_mode``.  Counts, ids,
+    radices and rates come checked, by :func:`_apply` or by ``scenario.validate``; the run-time
+    values, operands and the images of a crisp call, are checked here.  The result is stored
+    flat: ``op_ids`` and ``img_ids`` as given and one tuple of the values.
     """
     for big_n in operands:
         _check_natural(big_n, "operand cardinal")
@@ -280,11 +297,10 @@ def _transform(
     # Lifted once each, after the checks, so an error names the value as given.
     cardinals = [fam.lift(big_n) for big_n in operands]
     radices = [fam.lift(n) for n in radices]
-    partials = {i: fam.floor_div(c, n) for i, c, n in zip(op_ids, cardinals, radices)}
-    carry = fam.common([partials[i] for i in op_ids]) if fused else partials[op_ids[0]]
+    values = [fam.floor_div(c, n) for c, n in zip(cardinals, radices)]  # the partial carries
+    carry = fam.common(values) if fused else values[0]
     correlated = fam.correlated if options.remainder_mode == "correlated" and not fused else None
     warnings: list[str] = []
-    remainders: dict[str, FuzzyScalar] = {}
     for op_id, cardinal, n in zip(op_ids, cardinals, radices):
         rem = correlated(cardinal, n) if correlated else fam.sub(cardinal, fam.mul(carry, n))
         low = _lowest(rem)
@@ -293,15 +309,14 @@ def _transform(
         elif low < 0:
             shown = fam.negative.format(_shown(low, str))
             warnings.append(f"remainder for '{_shown(op_id, str)}' {shown}")
-        remainders[op_id] = rem
-    transformants: dict[str, FuzzyScalar] = {}
-    new_images: dict[str, FuzzyScalar] = {}
-    for img_id, img, r in zip(img_ids, images, rates):
-        q = transformants[img_id] = fam.mul(carry, fam.lift(r))
-        new_images[img_id] = fam.add(fam.lift(img), q)
-    return TransformResult(
-        partials, carry if fused else None, remainders, transformants, new_images, tuple(warnings)
-    )
+        values.append(rem)
+    transformants = [fam.mul(carry, fam.lift(r)) for r in rates]
+    values += transformants
+    values += [fam.add(fam.lift(img), q) for img, q in zip(images, transformants)]
+    result = object.__new__(TransformResult)
+    common = carry if fused else None
+    result._init(op_ids, op_ids, img_ids, img_ids, tuple(values), common, tuple(warnings))
+    return result
 
 
 # --- the four operators, in any fuzziness pattern and crisp-only -------------

@@ -100,8 +100,8 @@ class Diagnostic(_Record):
 class _State(Mapping):
     """The multeity after step ``index``: a read-only view of the step results.
 
-    ``run`` is the (initial copy, write indices per entity, results) tuple all states share;
-    a written entity holds its last writer's remainder or new image cardinal, never both.
+    ``run`` is the (initial copy, write indices per entity, results) tuple all states share; a
+    written entity holds its last writer's remainder or new image, read from its flat values.
     """
 
     __slots__ = ("_run", "_index")
@@ -114,9 +114,9 @@ class _State(Mapping):
         indices = writes[entity_id]
         if not (k := bisect_right(indices, self._index)):
             return initial[entity_id]
-        result = results[indices[k - 1]]
-        written = result.remainders
-        return written[entity_id] if entity_id in written else result.new_image_cardinals[entity_id]
+        for ids, values in results[indices[k - 1]]._columns()[1::2]:  # remainders, new images
+            if entity_id in ids:
+                return values[ids.index(entity_id)]
 
     def __len__(self) -> int:
         return len(self._run[1])
@@ -215,10 +215,10 @@ def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
 def run(scenario: Scenario) -> Trace:
     """Apply every step in order; each written value is held once, by its step result.
 
-    Besides the results, only a copy of ``scenario.initial``, the steps that wrote each
-    entity and the current values (``Trace.final``) are kept; step states read these.
-    Raises ScenarioValidationError if validation fails, StepExecutionError
-    (with the step index) if a step fails.
+    A result holds the step's own id tuples and one tuple of values; no map is built here.
+    Besides the results, only a copy of ``scenario.initial``, the steps that wrote each entity
+    and the current values (``Trace.final``) are kept; step states read these.  Raises
+    ScenarioValidationError if validation fails, StepExecutionError (with the index) if a step does.
     """
     diagnostics, joints = _plan(scenario)
     if diagnostics:
@@ -237,9 +237,9 @@ def run(scenario: Scenario) -> Trace:
             )
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
-        for written in (result.remainders, result.new_image_cardinals):
-            current.update(written)
-            for entity_id in written:
+        for ids, values in result._columns()[1::2]:  # the remainders and the new images
+            current.update(zip(ids, values))
+            for entity_id in ids:
                 writes[entity_id].append(index)
         results.append(result)
         trace_steps.append(TraceStep(index, step, result, _State(shared, index)))

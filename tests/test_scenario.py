@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +19,7 @@ from fuzzysns import (
     ScenarioValidationError,
     StepExecutionError,
     TransformOptions,
+    TransformResult,
     apply_D,
     apply_F,
     apply_L,
@@ -28,6 +31,7 @@ from fuzzysns import (
 )
 from fuzzysns import operators
 from fuzzysns import scenario as scenario_module
+from fuzzysns.cli import _RENDERERS
 from test_cli import random_scenario
 
 
@@ -354,6 +358,59 @@ def test_run_builds_no_pair_tuple(monkeypatch, seed):
             numbers += values.values()
     assert {family(n) for n in numbers} == {"discrete"}
     assert not [n for n in numbers if hasattr(n, "_points")]
+
+
+def _runs():
+    """Traces of the discrete scenarios and of 200 random draws over every family."""
+    rng = random.Random(3141)
+    traces = [run(_discrete_scenario(seed)) for seed in range(5)]
+    for scenario in [random_scenario(rng) for _ in range(200)]:
+        try:
+            traces.append(run(scenario))
+        except FuzzySnsError:
+            continue
+    assert len(traces) > 150
+    return traces
+
+
+def test_eval_builds_no_result_map():
+    # A result is stored flat; run, the step states and every renderer read that
+    # form, so no result's four maps are built on the eval path.
+    for trace in _runs():
+        for render in _RENDERERS.values():
+            assert render(trace)
+        for step in trace.steps:
+            dict(step.state)
+        assert not [s.index for s in trace.steps if hasattr(s.result, "_maps")]
+
+
+def _maps(result):
+    return [result.partial_carries, result.remainders, result.transformants,
+            result.new_image_cardinals]
+
+
+def test_results_from_run_round_trip():
+    # Each map is derived from the flat form on first read and kept; the constructor,
+    # equality, hash, copies and pickles go by the maps as before.
+    for trace in _runs():
+        for step in trace.steps:
+            result, operands, images = step.result, step.spec.operands, step.spec.images
+            w, v = len(operands), len(images)
+            assert len(result._values) == 2 * (w + v)
+            ends = (0, w, 2 * w, 2 * w + v, 2 * (w + v))
+            expected = [
+                dict(zip(ids, result._values[start:end]))
+                for ids, start, end in zip((operands, operands, images, images), ends, ends[1:])
+            ]
+            first = _maps(result)
+            assert first == expected
+            assert all(a is b for a, b in zip(first, _maps(result)))
+            assert TransformResult(*result._fields) == result
+            with pytest.raises(TypeError):
+                hash(result)
+            twins = [copy.deepcopy(result)]
+            twins += [pickle.loads(pickle.dumps(result, protocol)) for protocol in (2, 5)]
+            assert twins == [result] * 3
 
 
 def _three_family_scenario(seed):
