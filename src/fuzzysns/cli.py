@@ -174,7 +174,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args.remainder_mode or scenario.options.remainder_mode,
         args.clamp_negative or scenario.options.clamp_negative,
     )
-    scenario = Scenario(scenario.initial, scenario.steps, options)  # frees the parsed initial
+    # A Scenario is frozen: rebuild it (a copy of initial) to carry the CLI's options.
+    scenario = Scenario(scenario.initial, scenario.steps, options)
     trace = run(scenario)
     _print(_RENDERERS[args.format], trace, warnings=trace.warnings)
     return 0

@@ -68,14 +68,13 @@ class TransformResult(_Record):
     """Everything one operator application produces.
 
     Maps are keyed by entity id in operand/image order; ``common_carry`` is None for L and D.
-    ``warnings`` records nonfatal problems (negative remainder bounds) that are reported but
-    do not fail the call.  Stored flat, as each map's id tuple and one tuple of all their
-    values in field order; the maps are built on first read and kept (the constructor keeps
-    the dicts it is given), so callers must not mutate them.
+    ``warnings`` records nonfatal problems (negative remainder bounds).  Stored
+    flat: operand ids (keying partial carries and remainders), image ids (keying transformants
+    and new image cardinals) and one tuple of all map values in field order.  The maps are built
+    on first read and kept (the constructor keeps the dicts it is given): do not mutate them.
     """
 
-    __slots__ = ("_carry_ids", "_remainder_ids", "_transformant_ids", "_image_ids", "_values",
-                 "common_carry", "warnings", "_maps")
+    __slots__ = ("_operand_ids", "_image_ids", "_values", "common_carry", "warnings", "_maps")
     __match_args__ = ("partial_carries", "common_carry", "remainders", "transformants",
                       "new_image_cardinals", "warnings")
 
@@ -85,16 +84,17 @@ class TransformResult(_Record):
         new_image_cardinals: dict[str, FuzzyScalar], warnings: tuple[str, ...] = (),
     ):
         maps = [partial_carries, remainders, transformants, new_image_cardinals]
-        values = tuple(v for m in maps for v in m.values())
-        self._init(*map(tuple, maps), values, common_carry, warnings, maps)
+        p, r, q, n = keys = [tuple(m) for m in maps]
+        if r != p or n != q:
+            raise OperatorSpecError(f"remainders or new images keyed unlike partial carries or "
+                                    f"transformants: {_shown(keys)}")
+        self._init(p, q, tuple(v for m in maps for v in m.values()), common_carry, warnings, maps)
 
     def _columns(self) -> list[tuple[tuple, tuple]]:
         """Each map's (ids, values) in field order, read from the flat form: builds no map."""
-        p, r, q, n = self._carry_ids, self._remainder_ids, self._transformant_ids, self._image_ids
-        values, a = self._values, len(p)
-        b = a + len(r)
-        c = b + len(q)
-        return [(p, values[:a]), (r, values[a:b]), (q, values[b:c]), (n, values[c:])]
+        p, q, values = self._operand_ids, self._image_ids, self._values
+        a, c = len(p), 2 * len(p) + len(q)
+        return [(p, values[:a]), (p, values[a:2 * a]), (q, values[2 * a:c]), (q, values[c:])]
 
     def _map(self, k: int) -> dict[str, FuzzyScalar]:
         if not hasattr(self, "_maps"):
@@ -104,29 +104,22 @@ class TransformResult(_Record):
     partial_carries, remainders, transformants, new_image_cardinals = (
         property(lambda self, k=k: self._map(k)) for k in range(4))
 
-    def _single(self, mapping: dict, what: str) -> FuzzyScalar:
-        if len(mapping) != 1:
-            raise OperatorSpecError(f"no single {what}: {len(mapping)} present")
-        return next(iter(mapping.values()))
+    def _single(self, k: int, what: str) -> FuzzyScalar:
+        ids, values = self._columns()[k]
+        if len(ids) != 1:
+            raise OperatorSpecError(f"no single {what}: {len(ids)} present")
+        return values[0]
 
     @property
     def carry(self) -> FuzzyScalar:
         """The carry: common carry when formed, else the sole partial carry."""
         if self.common_carry is not None:
             return self.common_carry
-        return self._single(self.partial_carries, "partial carry")
+        return self._single(0, "partial carry")
 
-    @property
-    def remainder(self) -> FuzzyScalar:
-        return self._single(self.remainders, "remainder")
-
-    @property
-    def transformant(self) -> FuzzyScalar:
-        return self._single(self.transformants, "transformant")
-
-    @property
-    def new_image(self) -> FuzzyScalar:
-        return self._single(self.new_image_cardinals, "image cardinal")
+    remainder, transformant, new_image = (
+        property(lambda self, k=k, what=what: self._single(k, what))
+        for k, what in enumerate(("remainder", "transformant", "image cardinal"), 1))
 
 
 # --- per-family arithmetic ---------------------------------------------------
@@ -314,8 +307,7 @@ def _transform(
     values += transformants
     values += [fam.add(fam.lift(img), q) for img, q in zip(images, transformants)]
     result = object.__new__(TransformResult)
-    common = carry if fused else None
-    result._init(op_ids, op_ids, img_ids, img_ids, tuple(values), common, tuple(warnings))
+    result._init(op_ids, img_ids, tuple(values), carry if fused else None, tuple(warnings))
     return result
 
 

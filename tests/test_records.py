@@ -23,6 +23,7 @@ from fuzzysns import (
     DiscreteFuzzyNumber,
     Form,
     OperatorSpec,
+    OperatorSpecError,
     Scenario,
     Trace,
     TraceStep,
@@ -172,6 +173,27 @@ def test_records_keep_their_checks_and_canonical_forms():
     assert Scenario([("a", 1)], iter([_spec()])).steps == (_spec(),)
     assert str(Diagnostic(None, "m")) == "m" and str(Diagnostic(2, "m")) == "step 2: m"
     assert str(tri(1, 2, 5)) == "(1; 2; 5)"
+
+
+_CARRIES, _TRANSFORMANTS = {"a": 2, "c": 3}, {"b": 4, "d": 6}
+
+
+@pytest.mark.parametrize("remainders, new_images", [
+    ({"a": 1, "e": 0}, {"b": 6, "d": 7}),
+    ({"c": 0, "a": 1}, {"b": 6, "d": 7}),
+    ({"a": 1}, {"b": 6, "d": 7}),
+    ({"a": 1, "c": 0}, {"b": 6, "e": 7}),
+    ({"a": 1, "c": 0}, {"d": 7, "b": 6}),
+    ({"a": 1, "c": 0}, {"b": 6, "d": 7, "e": 8}),
+], ids=["other-remainder-id", "remainders-reordered", "remainder-missing",
+        "other-image-id", "images-reordered", "image-extra"])
+def test_result_refuses_maps_keyed_unlike_their_carries(remainders, new_images):
+    # A result stores one id tuple per role: the partial carries' ids key the remainders
+    # and the transformants' ids key the new image cardinals, in the same order.
+    kept = TransformResult(_CARRIES, 2, {"a": 1, "c": 0}, _TRANSFORMANTS, {"b": 6, "d": 7})
+    assert kept.remainders == {"a": 1, "c": 0} and kept.new_image_cardinals == {"b": 6, "d": 7}
+    with pytest.raises(OperatorSpecError, match="keyed unlike partial carries or transformants"):
+        TransformResult(_CARRIES, 2, remainders, _TRANSFORMANTS, new_images)
 
 
 # --- import budget -------------------------------------------------------------

@@ -373,15 +373,39 @@ def _runs():
     return traces
 
 
+_SINGLES = ("carry", "remainder", "transformant", "new_image")
+
+
+def _singles(result):
+    """The single-value properties that ``result`` has one value for, by name."""
+    out = {}
+    for name in _SINGLES:
+        try:
+            out[name] = getattr(result, name)
+        except OperatorSpecError:
+            continue
+    return out
+
+
 def test_eval_builds_no_result_map():
-    # A result is stored flat; run, the step states and every renderer read that
-    # form, so no result's four maps are built on the eval path.
+    # A result is stored flat; run, the step states, every renderer and the four
+    # single-value properties read that form, so no result's four maps are built.
     for trace in _runs():
         for render in _RENDERERS.values():
             assert render(trace)
+        singles = []
         for step in trace.steps:
             dict(step.state)
+            singles.append(_singles(step.result))
         assert not [s.index for s in trace.steps if hasattr(s.result, "_maps")]
+        for step, single in zip(trace.steps, singles):
+            result = step.result
+            expected = {name: next(iter(m.values()))
+                        for name, m in zip(_SINGLES, _maps(result)) if len(m) == 1}
+            if result.common_carry is not None:
+                expected["carry"] = result.common_carry
+            assert single == expected
+            assert len(single) == 4 or step.spec.form is not Form.L
 
 
 def _maps(result):
