@@ -3,7 +3,7 @@
 Two representations are supported: triangular fuzzy numbers, stored as an
 integer triple (lower; mode; upper), and discrete fuzzy numbers, stored as two
 parallel tuples: the sorted integer support values and their membership
-grades.  The (value, grade) pairs are derived on first read.  Grades are exact
+grades.  The (value, grade) pairs are built on each read.  Grades are exact
 ``fractions.Fraction`` values in (0, 1] so that equality checks and round-trips
 never suffer binary-float drift.  A plain ``int`` plays the role of a crisp
 value; ``FuzzyScalar`` is the union of the three.
@@ -142,11 +142,12 @@ def _grade_text(ratio: tuple[int, int]) -> str:
 
 
 class _Record:
-    """A frozen record: ``_init`` sets ``__slots__`` entries in order, once, by their setters.
+    """A frozen record: its constructor sets every ``__slots__`` entry once, in order, by ``_init``.
 
-    The fields are ``__match_args__``, ``__slots__`` unless a class names
-    them.  Equality and hash go by the field tuple, within one class; the repr
-    is ``Name(field=value, ...)``; copies and pickles are rebuilt by ``__init__``.
+    Nothing writes a slot afterwards.  The fields are ``__match_args__``, ``__slots__`` unless a
+    class names them; a derived field is a property, built on each read.  Equality and hash go by
+    the field tuple, within one class; the repr is ``Name(field=value, ...)``; copies and pickles
+    are rebuilt by ``__init__``.
     """
 
     __slots__ = ()
@@ -219,12 +220,12 @@ class DiscreteFuzzyNumber(_Record):
     every number has a mode.
 
     The record's one field is ``points``, the (value, grade) pairs in support
-    order: repr, equality, hash, match, copies and pickles go by it.  It is
-    derived from the two tuples on first read and kept, so a number that is
-    only computed with never builds its pairs.
+    order: repr, equality, hash, match, copies and pickles go by it.  Each read
+    builds it from the two tuples and keeps nothing, so a number that is only
+    computed with never builds its pairs.
     """
 
-    __slots__ = ("support", "grades", "_points")
+    __slots__ = ("support", "grades")
     __match_args__ = ("points",)
 
     # __post_init__ is a method of its own so perfbench/tracer.py can wrap it to count
@@ -256,15 +257,12 @@ class DiscreteFuzzyNumber(_Record):
         """
         number = object.__new__(cls)
         support = tuple(sorted(out))
-        object.__setattr__(number, "support", support)
-        object.__setattr__(number, "grades", tuple(map(out.__getitem__, support)))
+        number._init(support, tuple(map(out.__getitem__, support)))
         return number
 
     @property
     def points(self) -> tuple[tuple[int, Fraction], ...]:
-        if not hasattr(self, "_points"):
-            object.__setattr__(self, "_points", tuple(zip(self.support, self.grades)))
-        return self._points
+        return tuple(zip(self.support, self.grades))
 
     @property
     def mode(self) -> int:

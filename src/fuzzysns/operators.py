@@ -70,11 +70,11 @@ class TransformResult(_Record):
     Maps are keyed by entity id in operand/image order; ``common_carry`` is None for L and D.
     ``warnings`` records nonfatal problems (negative remainder bounds).  Stored
     flat: operand ids (keying partial carries and remainders), image ids (keying transformants
-    and new image cardinals) and one tuple of all map values in field order.  The maps are built
-    on first read and kept (the constructor keeps the dicts it is given): do not mutate them.
+    and new image cardinals) and one tuple of all map values in field order.  Each read of a map
+    builds a new dict, which the caller owns; the constructor keeps none of the dicts it is given.
     """
 
-    __slots__ = ("_operand_ids", "_image_ids", "_values", "common_carry", "warnings", "_maps")
+    __slots__ = ("_operand_ids", "_image_ids", "_values", "common_carry", "warnings")
     __match_args__ = ("partial_carries", "common_carry", "remainders", "transformants",
                       "new_image_cardinals", "warnings")
 
@@ -88,7 +88,7 @@ class TransformResult(_Record):
         if r != p or n != q:
             raise OperatorSpecError(f"remainders or new images keyed unlike partial carries or "
                                     f"transformants: {_shown(keys)}")
-        self._init(p, q, tuple(v for m in maps for v in m.values()), common_carry, warnings, maps)
+        self._init(p, q, tuple(v for m in maps for v in m.values()), common_carry, warnings)
 
     def _columns(self) -> list[tuple[tuple, tuple]]:
         """Each map's (ids, values) in field order, read from the flat form: builds no map."""
@@ -96,13 +96,8 @@ class TransformResult(_Record):
         a, c = len(p), 2 * len(p) + len(q)
         return [(p, values[:a]), (p, values[a:2 * a]), (q, values[2 * a:c]), (q, values[c:])]
 
-    def _map(self, k: int) -> dict[str, FuzzyScalar]:
-        if not hasattr(self, "_maps"):
-            self._setters[-1](self, [dict(zip(*column)) for column in self._columns()])
-        return self._maps[k]
-
     partial_carries, remainders, transformants, new_image_cardinals = (
-        property(lambda self, k=k: self._map(k)) for k in range(4))
+        property(lambda self, k=k: dict(zip(*self._columns()[k]))) for k in range(4))
 
     def _single(self, k: int, what: str) -> FuzzyScalar:
         ids, values = self._columns()[k]
@@ -139,14 +134,22 @@ class _Family(SimpleNamespace):
     negative = ""
 
 
+def _check_partials(partials: Sequence, cls: type, what: str) -> None:
+    """The one partial-carry rule: at least one partial carry, each a ``cls``."""
+    if not partials:
+        raise OperatorSpecError("common carry needs at least one partial carry")
+    for p in partials:
+        if not isinstance(p, cls):
+            raise DomainError(f"expected {what}, got {_shown(p)}")
+
+
 def common_carry_tri(partials: Sequence[TriangularFuzzyNumber]) -> TriangularFuzzyNumber:
     """Componentwise minimum of the partial carries.
 
     Commutative, associative and idempotent, so the fold order of the
     operands never matters.
     """
-    if not partials:
-        raise OperatorSpecError("common carry needs at least one partial carry")
+    _check_partials(partials, TriangularFuzzyNumber, "a triangular fuzzy number")
     return TriangularFuzzyNumber(
         min(p.lower for p in partials),
         min(p.mode for p in partials),
@@ -176,11 +179,7 @@ def common_carry_dfn(partials: Sequence[DiscreteFuzzyNumber]) -> DiscreteFuzzyNu
     the intersection, each value at its smaller grade.  The pair rule is not
     known to be associative, so the operand order is the contract.
     """
-    if not partials:
-        raise OperatorSpecError("common carry needs at least one partial carry")
-    for p in partials:
-        if not isinstance(p, DiscreteFuzzyNumber):
-            raise DomainError(f"expected a discrete fuzzy number, got {_shown(p)}")
+    _check_partials(partials, DiscreteFuzzyNumber, "a discrete fuzzy number")
     return reduce(_form_pair, partials)
 
 

@@ -26,8 +26,9 @@ def zadeh_oracle(
 ) -> DiscreteFuzzyNumber:
     """Literal sup-min evaluation: bucket every pair, then take max of mins."""
     buckets: dict[int, list[Fraction]] = {}
+    b_points = b.points  # each read builds the pairs
     for x, grade_x in a.points:
-        for y, grade_y in b.points:
+        for y, grade_y in b_points:
             buckets.setdefault(op(x, y), []).append(min(grade_x, grade_y))
     return DiscreteFuzzyNumber({z: max(grades) for z, grades in buckets.items()})
 

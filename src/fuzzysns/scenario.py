@@ -225,6 +225,7 @@ def run(scenario: Scenario) -> Trace:
         raise ScenarioValidationError(diagnostics)
     current = dict(scenario.initial)
     writes: dict[str, list[int]] = {entity_id: [] for entity_id in current}
+    # States read results, not trace_steps: each TraceStep holds its state, so that is a cycle.
     results: list[TransformResult] = []
     shared = (dict(current), writes, results)  # a copy: editing scenario.initial changes no state
     trace_steps: list[TraceStep] = []

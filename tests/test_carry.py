@@ -25,6 +25,12 @@ class TestTriangularFormation:
         with pytest.raises(OperatorSpecError):
             common_carry_tri([])
 
+    @pytest.mark.parametrize("stray", [5, dfn({2: 1}), None], ids=["int", "discrete", "none"])
+    def test_non_triangular_rejected(self, stray):
+        # The partial-carry rule common_carry_dfn follows: a DomainError naming the value.
+        with pytest.raises(DomainError, match="expected a triangular fuzzy number, got"):
+            common_carry_tri([tri(1, 2, 3), stray])
+
     @given(parts=st.lists(triangles(high=20), min_size=1, max_size=5))
     @settings(max_examples=200)
     def test_permutation_invariance(self, parts):

@@ -552,7 +552,7 @@ class TestStoredTuples:
             assert all(x < y for x, y in zip(support, support[1:])), name
             assert all(type(g) is Fraction and 0 < g <= 1 for g in grades), name
             assert number.points == tuple(zip(support, grades)), name
-            assert number.points is number.points, name
+            assert number.points is not number.points, name  # built on each read, not kept
             assert DiscreteFuzzyNumber(number.points) == number, name
 
 

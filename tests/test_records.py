@@ -72,6 +72,11 @@ RECORDS = [
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
+def _same(cls, name, a, b):
+    """A stored slot is read as the same object; a derived field is built anew on each read."""
+    return a is b if name in cls.__slots__ else a == b
+
+
 @pytest.mark.parametrize("cls, names, values, changed, defaults", RECORDS, ids=IDS)
 class TestRecord:
     def test_positional_keyword_and_default_args(self, cls, names, values, changed, defaults):
@@ -125,7 +130,7 @@ class TestRecord:
                 setattr(record, name, before)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-            assert getattr(record, name) is before
+            assert _same(cls, name, getattr(record, name), before)
         with pytest.raises(AttributeError):
             record.not_a_field = 1
 
@@ -142,7 +147,7 @@ class TestRecord:
         record = cls(*values)
         match record:
             case cls(first):
-                assert first is getattr(record, names[0])
+                assert _same(cls, names[0], first, getattr(record, names[0]))
             case _:
                 pytest.fail("no match")
 
@@ -194,6 +199,54 @@ def test_result_refuses_maps_keyed_unlike_their_carries(remainders, new_images):
     assert kept.remainders == {"a": 1, "c": 0} and kept.new_image_cardinals == {"b": 6, "d": 7}
     with pytest.raises(OperatorSpecError, match="keyed unlike partial carries or transformants"):
         TransformResult(_CARRIES, 2, remainders, _TRANSFORMANTS, new_images)
+
+
+def _views(result):
+    """Everything a result shows: its maps, single values, repr and a twin to compare with."""
+    maps = [result.partial_carries, result.remainders, result.transformants,
+            result.new_image_cardinals]
+    return maps, result.carry, repr(result), TransformResult(*result._fields)
+
+
+def test_hand_built_result_keeps_none_of_the_callers_dicts():
+    carries, remainders, transformants, images = {"a": 2}, {"a": 1}, {"b": 4}, {"b": 6}
+    result = TransformResult(carries, None, remainders, transformants, images, ("w",))
+    before = _views(result)
+    carries["a"] = 99
+    remainders["a"] = 98
+    images["z"] = 0  # a key the record's image ids do not have
+    transformants.clear()
+    assert _views(result) == before
+    assert result == before[-1] and result.carry == 2
+    twins = [copy.deepcopy(result)]
+    twins += [pickle.loads(pickle.dumps(result, protocol)) for protocol in (2, 5)]
+    assert twins == [result] * 3
+
+
+def test_a_map_read_from_a_result_belongs_to_the_caller():
+    result = apply_L(7, 10, 3, 2)
+    before = _views(result)
+    result.remainders["i"] = 99
+    result.new_image_cardinals["k"] = 0
+    assert _views(result) == before and result.remainder == 1
+    trace = _trace()
+    step = trace.steps[0]
+    before, state = _views(step.result), dict(step.state)
+    step.result.remainders["a"] = 99
+    step.result.partial_carries.clear()
+    assert _views(step.result) == before and step.result.remainder == state["a"]
+    assert dict(step.state) == state and step.result == _trace().steps[0].result
+
+
+def test_every_slot_is_set_when_the_constructor_returns():
+    records = [cls(*values) for cls, _, values, *_ in RECORDS]
+    records.append(DiscreteFuzzyNumber._trusted({4: Fraction(1, 2), 2: Fraction(1)}))
+    trace = run(Scenario({"a": dfn({7: 1, 9: "0.5"}), "b": 2, "c": 9, "d": 5}, [
+        _spec(), OperatorSpec(Form.M, ("c", "d"), ("a", "b"), (2, 3), (1, dfn({0: 1, 1: 1})))]))
+    records += [trace, *trace.steps, *(step.result for step in trace.steps)]
+    for record in records:
+        unset = [name for name in type(record).__slots__ if not hasattr(record, name)]
+        assert not unset, (type(record).__name__, unset)
 
 
 # --- import budget -------------------------------------------------------------

@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import dfn, tri
 from fuzzysns import (
     Diagnostic,
+    DiscreteFuzzyNumber,
     Form,
     FuzzySnsError,
     MixedFamilyError,
@@ -334,10 +336,34 @@ def _discrete_scenario(seed):
     return Scenario(initial, steps, TransformOptions("extension", clamp_negative=True))
 
 
+_VIEWS = [(DiscreteFuzzyNumber, "points"), *((TransformResult, name) for name in (
+    "partial_carries", "remainders", "transformants", "new_image_cardinals"))]
+
+
+def _count_view_reads(monkeypatch) -> Counter:
+    """From now on, count each read of ``points`` and of a result's four maps, by name."""
+    reads = Counter()
+    for cls, name in _VIEWS:
+        def counted(self, name=name, build=getattr(cls, name).fget):
+            reads[name] += 1
+            return build(self)
+
+        monkeypatch.setattr(cls, name, property(counted))
+    return reads
+
+
+def _eval(trace) -> None:
+    """What ``eval`` does with a trace, and more: every renderer, every step state."""
+    for render in _RENDERERS.values():
+        assert render(trace)
+    for step in trace.steps:
+        dict(step.state)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_run_builds_no_pair_tuple(monkeypatch, seed):
-    # A number stores its support and grades; its (value, grade) pairs are built
-    # only when ``points`` is read, and nothing on the eval path reads it.
+    # A number stores its support and grades; each read of ``points`` builds its
+    # (value, grade) pairs, and neither run, a renderer nor a step state reads it.
     clamped = []
     kernel = operators.dfn_zadeh_binary
 
@@ -346,7 +372,10 @@ def test_run_builds_no_pair_tuple(monkeypatch, seed):
         return kernel(op, a, b)
 
     monkeypatch.setattr(operators, "dfn_zadeh_binary", spy)
+    reads = _count_view_reads(monkeypatch)
     trace = run(_discrete_scenario(seed))
+    _eval(trace)
+    assert not reads
     assert any(clamped)
     numbers = list(trace.final.values())
     for step in trace.steps:
@@ -357,7 +386,6 @@ def test_run_builds_no_pair_tuple(monkeypatch, seed):
                        result.new_image_cardinals):
             numbers += values.values()
     assert {family(n) for n in numbers} == {"discrete"}
-    assert not [n for n in numbers if hasattr(n, "_points")]
 
 
 def _runs():
@@ -387,18 +415,17 @@ def _singles(result):
     return out
 
 
-def test_eval_builds_no_result_map():
+def test_eval_builds_no_result_map(monkeypatch):
     # A result is stored flat; run, the step states, every renderer and the four
     # single-value properties read that form, so no result's four maps are built.
-    for trace in _runs():
-        for render in _RENDERERS.values():
-            assert render(trace)
-        singles = []
-        for step in trace.steps:
-            dict(step.state)
-            singles.append(_singles(step.result))
-        assert not [s.index for s in trace.steps if hasattr(s.result, "_maps")]
-        for step, single in zip(trace.steps, singles):
+    reads = _count_view_reads(monkeypatch)
+    traces = _runs()
+    for trace in traces:
+        _eval(trace)
+    singles = [[_singles(step.result) for step in trace.steps] for trace in traces]
+    assert not reads
+    for trace, trace_singles in zip(traces, singles):
+        for step, single in zip(trace.steps, trace_singles):
             result = step.result
             expected = {name: next(iter(m.values()))
                         for name, m in zip(_SINGLES, _maps(result)) if len(m) == 1}
@@ -414,7 +441,7 @@ def _maps(result):
 
 
 def test_results_from_run_round_trip():
-    # Each map is derived from the flat form on first read and kept; the constructor,
+    # Each read builds a map from the flat form and keeps nothing; the constructor,
     # equality, hash, copies and pickles go by the maps as before.
     for trace in _runs():
         for step in trace.steps:
@@ -428,7 +455,7 @@ def test_results_from_run_round_trip():
             ]
             first = _maps(result)
             assert first == expected
-            assert all(a is b for a, b in zip(first, _maps(result)))
+            assert not any(a is b for a, b in zip(first, _maps(result)))
             assert TransformResult(*result._fields) == result
             with pytest.raises(TypeError):
                 hash(result)
