@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
 
 # run, scenario_from_json and format_scalar are called through this module's globals
-# because perfbench/tracer.py replaces them; ROADMAP item 8 removes that.
+# because perfbench/tracer.py replaces them; the ROADMAP item on tracer hooks removes that.
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
 from .formats import (
     format_fraction,
@@ -42,25 +42,24 @@ VALIDATION_FAILURE = 1
 # `table` builds every row before printing, so its row count is bounded.
 MAX_TABLE_ROWS = 10**6
 
-# Result fields in output order: CSV name, text label when the field holds one
-# value (None: always the prefix), and label prefix before an entity id.
-_FIELDS = (
-    ("partial_carries", "partial_carry", "p", "p_"),
-    ("common_carry", "common_carry", "p.", None),
-    ("remainders", "remainder", "rem", "rem_"),
-    ("transformants", "transformant", "q", "q_"),
-    ("new_image_cardinals", "new_image", None, "N'_"),
-)
+# Presentation of each result field, by field name: CSV name, text label when the field
+# holds one value (None: always the prefix), and label prefix before an entity id.
+_FIELDS = {
+    "partial_carries": ("partial_carry", "p", "p_"),
+    "common_carry": ("common_carry", "p.", None),
+    "remainders": ("remainder", "rem", "rem_"),
+    "transformants": ("transformant", "q", "q_"),
+    "new_image_cardinals": ("new_image", None, "N'_"),
+}
 
 
 def _walk(result: TransformResult):
-    """(field, CSV name, text label, entity id, literal) of each value, in output order.
+    """(field, CSV name, text label, entity id, literal) of each value, in the result's order.
 
     The common carry has entity id None, and literal None when none was formed.
     """
-    columns = result._columns()
-    columns.insert(1, ((None,), (result.common_carry,)))
-    for (name, csv_name, sole, prefix), (ids, values) in zip(_FIELDS, columns):
+    for name, (ids, values) in result._columns().items():
+        csv_name, sole, prefix = _FIELDS[name]
         for entity_id, scalar in zip(ids, values):
             label = sole if len(ids) == 1 and sole else prefix + _shown(entity_id, str)
             literal = None if scalar is None else format_scalar(scalar)
@@ -114,7 +113,7 @@ def _trace_json(trace: Trace) -> list[str]:
                 continue
             line = f"        {_json_str(entity_id)}: {_json_str(literal)}"
             fields.setdefault(name, []).append(line)
-            if name in ("remainders", "new_image_cardinals"):
+            if name in TransformResult._WRITES:
                 state[entity_id] = line
         fields["state"] = list(state.values())
         members = [

@@ -229,7 +229,7 @@ class DiscreteFuzzyNumber(_Record):
     __match_args__ = ("points",)
 
     # __post_init__ is a method of its own so perfbench/tracer.py can wrap it to count
-    # numbers.dfn_new; ROADMAP item 8 folds it back into __init__.
+    # numbers.dfn_new; the ROADMAP item on tracer hooks folds it back into __init__.
     def __init__(self, points: Mapping[int, GradeLike] | Iterable[tuple[int, GradeLike]]):
         self.__post_init__(points)
 
@@ -374,7 +374,20 @@ def crisp_value(value: FuzzyScalar) -> int | None:
     return _as_int(value, "crisp value")
 
 
+def _operands(lift: Callable, needs: str, *values) -> None:
+    """The one operand rule of a family's arithmetic: each value is a fuzzy number, else a
+    DomainError (``needs``) names it, and ``lift`` refuses one of the other family."""
+    for value in values:
+        if not isinstance(value, (DiscreteFuzzyNumber, TriangularFuzzyNumber)):
+            raise DomainError(f"{needs}, got {_shown(value)}")
+        lift(value)  # MixedFamilyError for the other family's number
+
+
 # --- triangular arithmetic -------------------------------------------------
+
+_triangular = functools.partial(
+    _operands, lift_triangular, "triangular arithmetic needs triangular fuzzy numbers")
+
 
 def tfn_membership(x, a: TriangularFuzzyNumber) -> Fraction:
     """Membership grade of x under the triple's piecewise-linear profile.
@@ -384,6 +397,7 @@ def tfn_membership(x, a: TriangularFuzzyNumber) -> Fraction:
     ``x`` is read by :func:`_exact` (a float through its decimal repr).
     """
     x = _exact(x, "x")
+    _triangular(a)
     if x < a.lower or x > a.upper:
         return Fraction(0)
     if x == a.mode:
@@ -394,22 +408,26 @@ def tfn_membership(x, a: TriangularFuzzyNumber) -> Fraction:
 
 
 def tfn_add(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
+    _triangular(a, b)
     return TriangularFuzzyNumber(a.lower + b.lower, a.mode + b.mode, a.upper + b.upper)
 
 
 def tfn_sub(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
     """Bound-swapping subtraction: (a.lower - b.upper; a.mode - b.mode; a.upper - b.lower)."""
+    _triangular(a, b)
     return TriangularFuzzyNumber(a.lower - b.upper, a.mode - b.mode, a.upper - b.lower)
 
 
 def tfn_mul(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
     """Componentwise product; defined only for componentwise-nonnegative triples."""
+    _triangular(a, b)
     _check_natural(a, "componentwise factor")
     _check_natural(b, "componentwise factor")
     return TriangularFuzzyNumber(a.lower * b.lower, a.mode * b.mode, a.upper * b.upper)
 
 
 def tfn_scale(a: TriangularFuzzyNumber, c: int) -> TriangularFuzzyNumber:
+    _triangular(a)
     _check_natural(_as_int(c, "scale factor"), "scale factor")
     return TriangularFuzzyNumber(a.lower * c, a.mode * c, a.upper * c)
 
@@ -419,6 +437,7 @@ def tfn_floor_div(num: TriangularFuzzyNumber, div: TriangularFuzzyNumber) -> Tri
 
     (num.lower // div.upper; num.mode // div.mode; num.upper // div.lower) stays ordered.
     """
+    _triangular(num, div)
     _check_radix(div)
     _check_natural(num, "dividend")
     return TriangularFuzzyNumber(
@@ -507,11 +526,7 @@ def dfn_zadeh_binary(
     called exactly once per support pair, always as ``op(x, y)`` with ``x``
     from ``a``.  The choice rests on ``op``'s identity and the operands alone.
     """
-    for number in (a, b):
-        if not isinstance(number, DiscreteFuzzyNumber):
-            lift_discrete(number)  # MixedFamilyError for a triangular one, DomainError for junk
-            message = f"sup-min extension needs discrete fuzzy numbers, got {_shown(number)}"
-            raise DomainError(message)
+    _operands(lift_discrete, "sup-min extension needs discrete fuzzy numbers", a, b)
     levels = _grade_levels(a, b)
     if op is operator.add or op is operator.sub:
         width = (a.support[-1] - a.support[0]) + (b.support[-1] - b.support[0]) + 1

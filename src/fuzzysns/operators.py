@@ -65,18 +65,19 @@ DEFAULT_OPTIONS = TransformOptions()
 
 
 class TransformResult(_Record):
-    """Everything one operator application produces.
+    """Everything one operator application produces, its fields in output order.
 
     Maps are keyed by entity id in operand/image order; ``common_carry`` is None for L and D.
-    ``warnings`` records nonfatal problems (negative remainder bounds).  Stored
-    flat: operand ids (keying partial carries and remainders), image ids (keying transformants
-    and new image cardinals) and one tuple of all map values in field order.  Each read of a map
-    builds a new dict, which the caller owns; the constructor keeps none of the dicts it is given.
+    ``warnings`` records nonfatal problems (negative remainder bounds).  Stored flat: operand
+    ids (keying partial carries and remainders), image ids (keying transformants and new image
+    cardinals) and one tuple of the map values, all read by :meth:`_columns`; ``_WRITES`` names
+    the two fields a step writes back.  Each read of a map builds a new dict, the caller's.
     """
 
     __slots__ = ("_operand_ids", "_image_ids", "_values", "common_carry", "warnings")
     __match_args__ = ("partial_carries", "common_carry", "remainders", "transformants",
                       "new_image_cardinals", "warnings")
+    _WRITES = ("remainders", "new_image_cardinals")  # the fields a step writes back
 
     def __init__(
         self, partial_carries: dict[str, FuzzyScalar], common_carry: FuzzyScalar | None,
@@ -90,17 +91,23 @@ class TransformResult(_Record):
                                     f"transformants: {_shown(keys)}")
         self._init(p, q, tuple(v for m in maps for v in m.values()), common_carry, warnings)
 
-    def _columns(self) -> list[tuple[tuple, tuple]]:
-        """Each map's (ids, values) in field order, read from the flat form: builds no map."""
+    def _columns(self) -> dict[str, tuple[tuple, tuple]]:
+        """Name -> (ids, values) of every field but ``warnings``, in order; common carry id None."""
         p, q, values = self._operand_ids, self._image_ids, self._values
         a, c = len(p), 2 * len(p) + len(q)
-        return [(p, values[:a]), (p, values[a:2 * a]), (q, values[2 * a:c]), (q, values[c:])]
+        return dict(zip(self.__match_args__, ((p, values[:a]), ((None,), (self.common_carry,)),
+                    (p, values[a:2 * a]), (q, values[2 * a:c]), (q, values[c:]))))
+
+    def _written(self) -> tuple[tuple[tuple, tuple], ...]:
+        """(ids, values) of each field a step writes back, in ``_WRITES`` order."""
+        return operator.itemgetter(*self._WRITES)(self._columns())
 
     partial_carries, remainders, transformants, new_image_cardinals = (
-        property(lambda self, k=k: dict(zip(*self._columns()[k]))) for k in range(4))
+        property(lambda self, name=name: dict(zip(*self._columns()[name])))
+        for name in __match_args__[:-1] if name != "common_carry")
 
-    def _single(self, k: int, what: str) -> FuzzyScalar:
-        ids, values = self._columns()[k]
+    def _single(self, name: str, what: str) -> FuzzyScalar:
+        ids, values = self._columns()[name]
         if len(ids) != 1:
             raise OperatorSpecError(f"no single {what}: {len(ids)} present")
         return values[0]
@@ -110,29 +117,14 @@ class TransformResult(_Record):
         """The carry: common carry when formed, else the sole partial carry."""
         if self.common_carry is not None:
             return self.common_carry
-        return self._single(0, "partial carry")
+        return self._single("partial_carries", "partial carry")
 
     remainder, transformant, new_image = (
-        property(lambda self, k=k, what=what: self._single(k, what))
-        for k, what in enumerate(("remainder", "transformant", "image cardinal"), 1))
+        property(lambda self, name=name, what=what: self._single(name, what))
+        for name, what in zip(__match_args__[2:5], ("remainder", "transformant", "image cardinal")))
 
 
 # --- per-family arithmetic ---------------------------------------------------
-
-class _Family(SimpleNamespace):
-    """The arithmetic one family lends the operator algorithm.
-
-    Every function (``floor_div``, ``mul``, ``add``, ``sub``) takes values of
-    the family, lifted by ``lift``; ``common`` forms a common carry from a list
-    of partial carries; ``clamp`` and ``negative`` (the warning's wording)
-    handle a remainder that dips below zero, which a crisp one never does;
-    ``correlated`` maps each support value to its own remainder and exists
-    for the discrete family only.
-    """
-
-    clamp = correlated = None
-    negative = ""
-
 
 def _check_partials(partials: Sequence, cls: type, what: str) -> None:
     """The one partial-carry rule: at least one partial carry, each a ``cls``."""
@@ -183,18 +175,26 @@ def common_carry_dfn(partials: Sequence[DiscreteFuzzyNumber]) -> DiscreteFuzzyNu
     return reduce(_form_pair, partials)
 
 
-# The lambdas look the module's functions up at call time, so that perfbench/tracer.py,
-# which replaces them as module attributes, sees every call.
+# The arithmetic each family lends the operator algorithm, the same nine names in each.
+# ``floor_div``, ``mul``, ``add`` and ``sub`` take values of the family, lifted by ``lift``;
+# ``common`` forms a common carry from the partial carries; ``clamp`` and ``negative`` (the
+# warning's wording) handle a remainder below zero, which a crisp one never is; ``correlated``
+# maps each support value to its own remainder, for the discrete family only.  The lambdas
+# look the module's functions up at call time, so that perfbench/tracer.py, which replaces
+# them as module attributes, sees every call.
 _FAMILIES = {
-    CRISP: _Family(
+    CRISP: SimpleNamespace(
         lift=lambda value: value,
         floor_div=operator.floordiv,
         mul=operator.mul,
         add=operator.add,
         sub=operator.sub,
         common=min,
+        clamp=None,
+        negative="",
+        correlated=None,
     ),
-    DISCRETE: _Family(
+    DISCRETE: SimpleNamespace(
         lift=lift_discrete,
         floor_div=lambda cardinal, radix: dfn_floor_div(cardinal, radix),
         mul=lambda a, b: dfn_zadeh_binary(operator.mul, a, b),
@@ -205,7 +205,7 @@ _FAMILIES = {
         negative="has negative support values (min {})",
         correlated=lambda cardinal, radix: dfn_mod(cardinal, radix),
     ),
-    TRIANGULAR: _Family(
+    TRIANGULAR: SimpleNamespace(
         lift=lift_triangular,
         floor_div=lambda cardinal, radix: tfn_floor_div(cardinal, radix),
         mul=lambda a, b: tfn_mul(a, b),
@@ -214,6 +214,7 @@ _FAMILIES = {
         common=lambda partials: common_carry_tri(partials),
         clamp=lambda t: TriangularFuzzyNumber(max(0, t.lower), t.mode, t.upper),
         negative="has negative lower bound {}",
+        correlated=None,
     ),
 }
 
@@ -268,9 +269,9 @@ def _apply(
 
 
 def _transform(
-    fam: _Family, fused: bool, operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
-    radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar], options: TransformOptions,
-    op_ids: Sequence[str], img_ids: Sequence[str],
+    fam: SimpleNamespace, fused: bool, operands: Sequence[FuzzyScalar],
+    images: Sequence[FuzzyScalar], radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar],
+    options: TransformOptions, op_ids: Sequence[str], img_ids: Sequence[str],
 ) -> TransformResult:
     """Carry, common carry, remainders, transformants and images of one call in ``fam``.
 
@@ -279,7 +280,7 @@ def _transform(
     carry is the carry and discrete remainders follow ``options.remainder_mode``.  Counts, ids,
     radices and rates come checked, by :func:`_apply` or by ``scenario.validate``; the run-time
     values, operands and the images of a crisp call, are checked here.  The result is stored
-    flat: ``op_ids`` and ``img_ids`` as given and one tuple of the values.
+    flat: ``op_ids`` and ``img_ids`` as given and one tuple of the map values, in field order.
     """
     for big_n in operands:
         _check_natural(big_n, "operand cardinal")

@@ -114,7 +114,7 @@ class _State(Mapping):
         indices = writes[entity_id]
         if not (k := bisect_right(indices, self._index)):
             return initial[entity_id]
-        for ids, values in results[indices[k - 1]]._columns()[1::2]:  # remainders, new images
+        for ids, values in results[indices[k - 1]]._written():
             if entity_id in ids:
                 return values[ids.index(entity_id)]
 
@@ -238,7 +238,7 @@ def run(scenario: Scenario) -> Trace:
             )
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc
-        for ids, values in result._columns()[1::2]:  # the remainders and the new images
+        for ids, values in result._written():
             current.update(zip(ids, values))
             for entity_id in ids:
                 writes[entity_id].append(index)

@@ -180,6 +180,37 @@ class TestTriangularArithmetic:
             assert crisp_value(tfn_floor_div(lx, ly)) == x // y
 
 
+# Each triangular function with valid arguments, and the positions of its triangular operands.
+_TRIANGULAR_CALLS = [
+    (tfn_add, (tri(1, 2, 3), tri(1, 2, 3)), (0, 1)),
+    (tfn_sub, (tri(1, 2, 3), tri(1, 2, 3)), (0, 1)),
+    (tfn_mul, (tri(1, 2, 3), tri(1, 2, 3)), (0, 1)),
+    (tfn_scale, (tri(1, 2, 3), 2), (0,)),
+    (tfn_floor_div, (tri(1, 2, 3), tri(1, 2, 3)), (0, 1)),
+    (tfn_membership, (2, tri(1, 2, 3)), (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,position",
+    [(fn, args, k) for fn, args, positions in _TRIANGULAR_CALLS for k in positions],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+@pytest.mark.parametrize(
+    "value", [5, None, "x", dfn({1: 1}), (1, 2, 3)],
+    ids=["int", "None", "str", "discrete", "tuple"],
+)
+def test_triangular_arithmetic_refuses_other_operands(fn, args, position, value):
+    """The kernel's operand rule: the other family mixes, anything else is named."""
+    args = list(args)
+    args[position] = value
+    error, message = DomainError, f"needs triangular fuzzy numbers, got {value!r}"
+    if isinstance(value, DiscreteFuzzyNumber):
+        error, message = MixedFamilyError, "cannot lift a discrete fuzzy number to triangular"
+    with pytest.raises(error, match=re.escape(message)):
+        fn(*args)
+
+
 class TestDiscreteInvariants:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):

@@ -536,6 +536,27 @@ def test_crisp_radices_reach_the_family_arithmetic_lifted(
     assert all(isinstance(radix, family) for _, radix in radices), radices
 
 
+def test_family_entries_expose_the_same_names():
+    names = {"lift", "floor_div", "mul", "add", "sub", "common", "clamp", "negative", "correlated"}
+    assert [set(vars(fam)) for fam in operators._FAMILIES.values()] == [names] * 3
+
+
+@pytest.mark.parametrize("form", ["L", "D", "F", "M"])
+def test_result_columns_follow_the_field_order(form):
+    w, v = (1 if form in "LD" else 2), (1 if form in "LF" else 2)
+    result = run(Scenario(
+        {"a": 7, "b": 9, "c": 0, "d": 1},
+        [OperatorSpec(form, "ab"[:w], "cd"[:v], (2,) * w, (3,) * v)],
+    )).steps[0].result
+    columns = result._columns()
+    assert tuple(columns) == result.__match_args__[:-1]
+    assert columns["common_carry"] == ((None,), (result.common_carry,))
+    for name in ("partial_carries", "remainders", "transformants", "new_image_cardinals"):
+        assert dict(zip(*columns[name])) == getattr(result, name)
+    assert result._written() == tuple(columns[name] for name in result._WRITES)
+    assert result._WRITES == ("remainders", "new_image_cardinals")
+
+
 # One fault per check, in the order the public operators run the checks.  Each
 # edits a valid M call; the message of the earlier check wins any pair.
 _VALID_M = {
