@@ -28,11 +28,12 @@ from .numbers import (
     _fraction_from_text,
     _grade_text,
     _is_int,
+    _typed,
     family,
     format_fraction,
 )
-from .operators import TransformOptions
-from .scenario import Form, OperatorSpec, Scenario
+from .operators import Form, OperatorSpec, TransformOptions
+from .scenario import Scenario
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -41,7 +42,7 @@ def parse_fraction(text: str) -> Fraction:
     The exponent bound comes first, so an oversized exponent is named as such.
     """
     try:
-        value = _fraction_from_text(text)
+        value = _fraction_from_text(_typed(text, str, "text"))
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
     if not text.isascii() or "_" in text:
@@ -75,7 +76,7 @@ def _build(where: str | None, make: Callable, *args, **kwargs):
 
 
 def parse_triangular(text: str) -> TriangularFuzzyNumber:
-    body = text.strip()
+    body = _typed(text, str, "text").strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ParseError(f"triangular literal must look like (a; m; b): {text!r}")
     parts = body[1:-1].split(";")
@@ -89,7 +90,7 @@ def parse_triangular(text: str) -> TriangularFuzzyNumber:
 
 
 def parse_discrete(text: str) -> DiscreteFuzzyNumber:
-    body = text.strip()
+    body = _typed(text, str, "text").strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ParseError(f"discrete literal must look like {{v|grade, ...}}: {text!r}")
     points = []
@@ -110,7 +111,7 @@ def parse_discrete(text: str) -> DiscreteFuzzyNumber:
 
 def parse_scalar(text: str) -> FuzzyScalar:
     """Parse a crisp, triangular, or discrete literal by its leading bracket."""
-    body = text.strip()
+    body = _typed(text, str, "text").strip()
     if body.startswith("("):
         return parse_triangular(body)
     if body.startswith("{"):
@@ -215,6 +216,7 @@ def _step_from_json(node: object, index: int, table: dict) -> OperatorSpec:
 
 
 def scenario_to_json(scenario: Scenario) -> str:
+    _typed(scenario, Scenario, "scenario")
     doc = {
         "entities": [
             {"id": entity_id, "kind": family(value), "value": _scalar_to_json(value)}

@@ -56,6 +56,13 @@ def _shown(value, show=repr) -> str:
     return text if text.isprintable() else _json_str(text)  # a line break shows as \n
 
 
+def _typed(value, cls: type, name: str):
+    """The one argument-type rule: ``value`` if it is a ``cls``, else a TypeError naming it."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be {cls.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _as_int(value, what: str) -> int:
     if not _is_int(value):
         raise DomainError(f"{what} must be an integer, got {_shown(value)}")

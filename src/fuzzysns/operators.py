@@ -4,10 +4,10 @@ Line (L), distribution (D), fusion (F) and multi (M) are one algorithm over
 W >= 1 operands and V >= 1 images: floor a partial carry out of each operand
 over its radix, form a common carry from the partials (F and M only), subtract
 carry times radix for each operand's remainder, and give each image the carry
-times its conversion rate.  :func:`_transform` runs it over a small per-family
-arithmetic (crisp integers, discrete fuzzy numbers, triangular fuzzy numbers),
-reached from ``apply_*`` and ``crisp_*`` through :func:`_apply`'s checks and
-from ``scenario.run`` directly, in the family ``scenario.validate`` planned.
+times its conversion rate.  :func:`_transform` runs it on one call's :class:`OperatorSpec`
+(its :class:`Form`, ids, radices and rates) over a small per-family arithmetic (crisp, discrete
+fuzzy, triangular fuzzy), reached from ``apply_*`` and ``crisp_*`` through :func:`_apply`, which
+checks a call and builds its spec, and from ``scenario.run``, each step as it is and validated.
 
 Every slot (cardinals, radices, conversion rates) accepts crisp integers,
 discrete fuzzy numbers or triangular fuzzy numbers, with one restriction:
@@ -27,7 +27,8 @@ carry has no source value to correlate with.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from enum import Enum
 from functools import reduce
 from types import SimpleNamespace
 
@@ -62,6 +63,33 @@ class TransformOptions(_Record):
 
 
 DEFAULT_OPTIONS = TransformOptions()
+
+
+class Form(str, Enum):
+    """Operator form: Line, Distribution, Fusion, Multi."""
+
+    L = "L"
+    D = "D"
+    F = "F"
+    M = "M"
+
+
+class OperatorSpec(_Record):
+    """Description of one operator call: a public ``apply_*`` call or a scenario step.
+
+    ``operands``/``images`` are entity ids; ``radices`` has one radix per operand, ``rates``
+    one conversion rate per image.  The record is permissive: :func:`_apply` checks a call,
+    ``scenario.validate`` a step (valence and radix violations become diagnostics).
+    """
+
+    __slots__ = ("form", "operands", "images", "radices", "rates")
+
+    def __init__(
+        self, form: Form | str, operands: Iterable[str], images: Iterable[str],
+        radices: Iterable[FuzzyScalar], rates: Iterable[FuzzyScalar],
+    ):
+        form = form if type(form) is Form else Form(form)
+        self._init(form, tuple(operands), tuple(images), tuple(radices), tuple(rates))
 
 
 class TransformResult(_Record):
@@ -104,7 +132,7 @@ class TransformResult(_Record):
 
     partial_carries, remainders, transformants, new_image_cardinals = (
         property(lambda self, name=name: dict(zip(*self._columns()[name])))
-        for name in __match_args__[:-1] if name != "common_carry")
+        for name in ("partial_carries", "remainders", "transformants", "new_image_cardinals"))
 
     def _single(self, name: str, what: str) -> FuzzyScalar:
         ids, values = self._columns()[name]
@@ -120,8 +148,9 @@ class TransformResult(_Record):
         return self._single("partial_carries", "partial carry")
 
     remainder, transformant, new_image = (
-        property(lambda self, name=name, what=what: self._single(name, what))
-        for name, what in zip(__match_args__[2:5], ("remainder", "transformant", "image cardinal")))
+        property(lambda self, name=name, what=what: self._single(name, what)) for name, what in (
+            ("remainders", "remainder"), ("transformants", "transformant"),
+            ("new_image_cardinals", "image cardinal")))
 
 
 # --- per-family arithmetic ---------------------------------------------------
@@ -243,13 +272,12 @@ def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
 
 
 def _apply(
-    fused: bool,
-    operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
+    form: Form, operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
     radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar],
     options: TransformOptions,
     operand_ids: Sequence[str] | None, image_ids: Sequence[str] | None,
 ) -> TransformResult:
-    """One public call: every check, in order, then :func:`_transform` in the joint family."""
+    """One public call: every check in order, then its :class:`OperatorSpec` run in its family."""
     if len(operands) != len(radices):
         raise OperatorSpecError(f"{len(operands)} operands but {len(radices)} radices")
     if len(images) != len(rates):
@@ -257,44 +285,45 @@ def _apply(
     if not operands or not images:
         raise OperatorSpecError("an operator needs at least one operand and one image")
     fam = _FAMILIES[joint_family((*operands, *images, *radices, *rates))]
-    op_ids = _ids(operand_ids, len(operands), "i")
-    img_ids = _ids(image_ids, len(images), "k" if fused else "j")
-    for n in radices:
+    image_prefix = "j" if form in ("L", "D") else "k"  # a Form is its str value
+    step = OperatorSpec(form, _ids(operand_ids, len(operands), "i"),
+                        _ids(image_ids, len(images), image_prefix), radices, rates)
+    for n in step.radices:
         _check_radix(n)
     for big_n in operands:  # before the rates; _transform checks them again
         _check_natural(big_n, "operand cardinal")
-    for r in rates:
+    for r in step.rates:
         _check_natural(r, "conversion rate")
-    return _transform(fam, fused, operands, images, radices, rates, options, op_ids, img_ids)
+    return _transform(fam, step, operands, images, options)
 
 
 def _transform(
-    fam: SimpleNamespace, fused: bool, operands: Sequence[FuzzyScalar],
-    images: Sequence[FuzzyScalar], radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar],
-    options: TransformOptions, op_ids: Sequence[str], img_ids: Sequence[str],
+    fam: SimpleNamespace, step: OperatorSpec, operand_cardinals: Sequence[FuzzyScalar],
+    image_cardinals: Sequence[FuzzyScalar], options: TransformOptions,
 ) -> TransformResult:
     """Carry, common carry, remainders, transformants and images of one call in ``fam``.
 
-    ``fused`` is True for F and M: a common carry is formed even from a single partial, and
-    remainders always subtract it by extension.  Otherwise (L and D, one operand) the partial
-    carry is the carry and discrete remainders follow ``options.remainder_mode``.  Counts, ids,
-    radices and rates come checked, by :func:`_apply` or by ``scenario.validate``; the run-time
-    values, operands and the images of a crisp call, are checked here.  The result is stored
-    flat: ``op_ids`` and ``img_ids`` as given and one tuple of the map values, in field order.
+    The cardinals are the values of ``step``'s operands and images.  F and M form a common
+    carry, even from a single partial, and remainders always subtract it by extension; L and D
+    take the partial carry, and discrete remainders follow ``options.remainder_mode``.  The
+    step comes checked, by :func:`_apply` or by ``scenario.validate``; the run-time values,
+    operands and the images of a crisp call, are checked here.  The result is stored flat: the
+    step's id tuples and one tuple of the map values, in field order.
     """
-    for big_n in operands:
+    for big_n in operand_cardinals:
         _check_natural(big_n, "operand cardinal")
     if fam is _FAMILIES[CRISP]:  # a fuzzy image may dip below zero, a crisp one may not
-        for img in images:
+        for img in image_cardinals:
             _check_natural(img, "image cardinal")
     # Lifted once each, after the checks, so an error names the value as given.
-    cardinals = [fam.lift(big_n) for big_n in operands]
-    radices = [fam.lift(n) for n in radices]
+    cardinals = [fam.lift(big_n) for big_n in operand_cardinals]
+    radices = [fam.lift(n) for n in step.radices]
     values = [fam.floor_div(c, n) for c, n in zip(cardinals, radices)]  # the partial carries
-    carry = fam.common(values) if fused else values[0]
-    correlated = fam.correlated if options.remainder_mode == "correlated" and not fused else None
+    common = fam.common(values) if step.form in ("F", "M") else None  # F and M form one
+    carry = values[0] if common is None else common
+    correlated = common is None and options.remainder_mode == "correlated" and fam.correlated
     warnings: list[str] = []
-    for op_id, cardinal, n in zip(op_ids, cardinals, radices):
+    for op_id, cardinal, n in zip(step.operands, cardinals, radices):
         rem = correlated(cardinal, n) if correlated else fam.sub(cardinal, fam.mul(carry, n))
         low = _lowest(rem)
         if low < 0 and options.clamp_negative:
@@ -303,11 +332,11 @@ def _transform(
             shown = fam.negative.format(_shown(low, str))
             warnings.append(f"remainder for '{_shown(op_id, str)}' {shown}")
         values.append(rem)
-    transformants = [fam.mul(carry, fam.lift(r)) for r in rates]
+    transformants = [fam.mul(carry, fam.lift(r)) for r in step.rates]
     values += transformants
-    values += [fam.add(fam.lift(img), q) for img, q in zip(images, transformants)]
+    values += [fam.add(fam.lift(img), q) for img, q in zip(image_cardinals, transformants)]
     result = object.__new__(TransformResult)
-    result._init(op_ids, img_ids, tuple(values), carry if fused else None, tuple(warnings))
+    result._init(step.operands, step.images, tuple(values), common, tuple(warnings))
     return result
 
 
@@ -319,7 +348,7 @@ def apply_L(
 ) -> TransformResult:
     """Line operator over one operand and one image, in any fuzziness pattern."""
     return _apply(
-        False, (operand,), (image,), (radix,), (rate,), options, (operand_id,), (image_id,)
+        Form.L, (operand,), (image,), (radix,), (rate,), options, (operand_id,), (image_id,)
     )
 
 
@@ -330,7 +359,7 @@ def apply_D(
     operand_id: str = "i", image_ids: Sequence[str] | None = None,
 ) -> TransformResult:
     """Distribution operator: one carry and remainder, a fan-out per image."""
-    return _apply(False, (operand,), images, (radix,), rates, options, (operand_id,), image_ids)
+    return _apply(Form.D, (operand,), images, (radix,), rates, options, (operand_id,), image_ids)
 
 
 def apply_F(
@@ -340,7 +369,7 @@ def apply_F(
     operand_ids: Sequence[str] | None = None, image_id: str = "k",
 ) -> TransformResult:
     """Fusion operator: a common carry formed from all partial carries."""
-    return _apply(True, operands, (image,), radices, (rate,), options, operand_ids, (image_id,))
+    return _apply(Form.F, operands, (image,), radices, (rate,), options, operand_ids, (image_id,))
 
 
 def apply_M(
@@ -350,7 +379,7 @@ def apply_M(
     operand_ids: Sequence[str] | None = None, image_ids: Sequence[str] | None = None,
 ) -> TransformResult:
     """Multi operator: fusion carry formation plus distribution fan-out."""
-    return _apply(True, operands, images, radices, rates, options, operand_ids, image_ids)
+    return _apply(Form.M, operands, images, radices, rates, options, operand_ids, image_ids)
 
 
 def _require_ints(*values) -> None:

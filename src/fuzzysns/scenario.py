@@ -6,9 +6,9 @@ yields a trace: per step, the transform result and a read-only view of the
 state after remainders go back to operands and new cardinals to images; the
 views read each value where the step result holds it.  Evaluation is
 single-pass and strictly sequential; remainders do not feed back into the
-same step, and entities a step does not name are untouched by it.  Steps are
-:class:`OperatorSpec` records; the valence of each :class:`Form`
-(:func:`valence_matches`) is a scenario rule, as the operators accept any W, V >= 1.
+same step, and entities a step does not name are untouched by it.  Steps are the
+operators' :class:`OperatorSpec` records, each run as it is; the valence of each
+:class:`Form` (:func:`valence_matches`) is a scenario rule, as the operators accept any W, V >= 1.
 :func:`validate` checks a whole scenario in one pass before anything runs.
 It follows each entity's family through the steps, so a step that would mix
 discrete and triangular values is refused up front, not part-way through.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
-from enum import Enum
 
 from .errors import (
     DomainError,
@@ -30,23 +29,15 @@ from .errors import (
     StepExecutionError,
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
-from .numbers import _shown
-from .operators import _FAMILIES, DEFAULT_OPTIONS, TransformResult, _repeated, _transform
+from .numbers import _shown, _typed
+from .operators import _FAMILIES, DEFAULT_OPTIONS, Form, OperatorSpec, TransformResult
+from .operators import _repeated, _transform
 
 # Not called here: run applies each step through _transform.  The benchmark's
 # tracer (perfbench/tracer.py) wraps these names and fails when one is missing.
 from .operators import apply_D, apply_F, apply_L, apply_M  # noqa: F401
 
 Multeity = dict[str, FuzzyScalar]
-
-
-class Form(str, Enum):
-    """Operator form: Line, Distribution, Fusion, Multi."""
-
-    L = "L"
-    D = "D"
-    F = "F"
-    M = "M"
 
 
 def valence_matches(form: Form, w: int, v: int) -> bool:
@@ -57,25 +48,6 @@ def valence_matches(form: Form, w: int, v: int) -> bool:
     """
     one_operand, one_image = form in ("L", "D"), form in ("L", "F")  # a Form is its str value
     return (w == 1 if one_operand else w >= 2) and (v == 1 if one_image else v >= 2)
-
-
-class OperatorSpec(_Record):
-    """Description of one operator application inside a scenario.
-
-    ``operands``/``images`` are entity ids; ``radices`` has one radix per
-    operand, ``rates`` one conversion rate per image.  The record itself is
-    permissive; :func:`validate` reports valence and radix
-    violations as diagnostics instead of raising here.
-    """
-
-    __slots__ = ("form", "operands", "images", "radices", "rates")
-
-    def __init__(
-        self, form: Form | str, operands: Iterable[str], images: Iterable[str],
-        radices: Iterable[FuzzyScalar], rates: Iterable[FuzzyScalar],
-    ):
-        form = form if type(form) is Form else Form(form)
-        self._init(form, tuple(operands), tuple(images), tuple(radices), tuple(rates))
 
 
 class Scenario(_Record):
@@ -153,6 +125,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
 def _plan(scenario: Scenario) -> tuple[list[Diagnostic], list[str]]:
     """:func:`validate`'s diagnostics and :func:`run`'s plan, each step's joint family."""
+    _typed(scenario, Scenario, "scenario")
     out: list[Diagnostic] = []
     joints: list[str] = []
     families: dict[str, str | None] = {}
@@ -232,9 +205,8 @@ def run(scenario: Scenario) -> Trace:
     for index, (step, joint) in enumerate(zip(scenario.steps, joints)):
         try:
             result = _transform(
-                _FAMILIES[joint], step.form in ("F", "M"),
-                [current[e] for e in step.operands], [current[e] for e in step.images],
-                step.radices, step.rates, scenario.options, step.operands, step.images,
+                _FAMILIES[joint], step, [current[e] for e in step.operands],
+                [current[e] for e in step.images], scenario.options,
             )
         except (FuzzySnsError, ValueError) as exc:
             raise StepExecutionError(index, exc) from exc

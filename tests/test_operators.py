@@ -630,3 +630,21 @@ def test_run_names_a_long_negative_operand_by_its_size():
     assert str(excinfo.value) == (
         "step 0 failed: operand cardinal must be >= 0, got int of 16610 bits"
     )
+
+
+def test_one_operator_spec_describes_every_call():
+    import ast
+    import fuzzysns
+    from fuzzysns import scenario
+
+    for name in ("Form", "OperatorSpec"):
+        assert getattr(fuzzysns, name) is getattr(scenario, name) is getattr(operators, name)
+    # Importing the module runs the package __init__, which loads scenario anyway: read the source.
+    with open(operators.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = set()  # each module and name imported, by its last dotted part
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            imported.update(name.rpartition(".")[2] for name in names)
+    assert "numbers" in imported and not imported & {"scenario", "formats", "cli"}, imported
