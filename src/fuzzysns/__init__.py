@@ -49,6 +49,8 @@ from .formats import (
     scenario_to_json,
 )
 from .operators import (
+    Form,
+    OperatorSpec,
     TransformOptions,
     TransformResult,
     apply_D,
@@ -63,8 +65,7 @@ from .operators import (
     crisp_M,
 )
 from .scenario import (
-    Diagnostic, Form, Multeity, OperatorSpec, Scenario, Trace, TraceStep, run, validate,
-    valence_matches,
+    Diagnostic, Multeity, Scenario, Trace, TraceStep, run, validate, valence_matches,
 )
 
 __version__ = "0.1.0"

@@ -66,12 +66,14 @@ DEFAULT_OPTIONS = TransformOptions()
 
 
 class Form(str, Enum):
-    """Operator form: Line, Distribution, Fusion, Multi."""
+    """Operator form: Line, Distribution, Fusion, Multi; its shape is ``fuses`` and ``fans_out``."""
 
     L = "L"
     D = "D"
     F = "F"
     M = "M"
+    fuses = property(lambda self: self in "FM")  # several operands, one formed common carry
+    fans_out = property(lambda self: self in "DM")  # several images
 
 
 class OperatorSpec(_Record):
@@ -284,42 +286,42 @@ def _apply(
         raise OperatorSpecError(f"{len(images)} images but {len(rates)} rates")
     if not operands or not images:
         raise OperatorSpecError("an operator needs at least one operand and one image")
-    fam = _FAMILIES[joint_family((*operands, *images, *radices, *rates))]
-    image_prefix = "j" if form in ("L", "D") else "k"  # a Form is its str value
+    joint = joint_family((*operands, *images, *radices, *rates))
     step = OperatorSpec(form, _ids(operand_ids, len(operands), "i"),
-                        _ids(image_ids, len(images), image_prefix), radices, rates)
+                        _ids(image_ids, len(images), "k" if form.fuses else "j"), radices, rates)
     for n in step.radices:
         _check_radix(n)
     for big_n in operands:  # before the rates; _transform checks them again
         _check_natural(big_n, "operand cardinal")
     for r in step.rates:
         _check_natural(r, "conversion rate")
-    return _transform(fam, step, operands, images, options)
+    return _transform(joint, step, operands, images, options)
 
 
 def _transform(
-    fam: SimpleNamespace, step: OperatorSpec, operand_cardinals: Sequence[FuzzyScalar],
+    joint: str, step: OperatorSpec, operand_cardinals: Sequence[FuzzyScalar],
     image_cardinals: Sequence[FuzzyScalar], options: TransformOptions,
 ) -> TransformResult:
-    """Carry, common carry, remainders, transformants and images of one call in ``fam``.
+    """Carry, common carry, remainders, transformants and images of one call in family ``joint``.
 
-    The cardinals are the values of ``step``'s operands and images.  F and M form a common
-    carry, even from a single partial, and remainders always subtract it by extension; L and D
-    take the partial carry, and discrete remainders follow ``options.remainder_mode``.  The
-    step comes checked, by :func:`_apply` or by ``scenario.validate``; the run-time values,
-    operands and the images of a crisp call, are checked here.  The result is stored flat: the
-    step's id tuples and one tuple of the map values, in field order.
+    The cardinals are the values of ``step``'s operands and images.  A fusing form (F, M)
+    forms a common carry, even from a single partial, and remainders always subtract it by
+    extension; the others take the partial carry, and discrete remainders follow the remainder
+    mode.  The step comes checked, by :func:`_apply` or by ``scenario.validate``; the run-time
+    values, operands and the images of a crisp call, are checked here.  The result is stored
+    flat: the step's id tuples and one tuple of the map values, in field order.
     """
+    fam = _FAMILIES[joint]
     for big_n in operand_cardinals:
         _check_natural(big_n, "operand cardinal")
-    if fam is _FAMILIES[CRISP]:  # a fuzzy image may dip below zero, a crisp one may not
+    if joint == CRISP:  # a fuzzy image may dip below zero, a crisp one may not
         for img in image_cardinals:
             _check_natural(img, "image cardinal")
     # Lifted once each, after the checks, so an error names the value as given.
     cardinals = [fam.lift(big_n) for big_n in operand_cardinals]
     radices = [fam.lift(n) for n in step.radices]
     values = [fam.floor_div(c, n) for c, n in zip(cardinals, radices)]  # the partial carries
-    common = fam.common(values) if step.form in ("F", "M") else None  # F and M form one
+    common = fam.common(values) if step.form.fuses else None
     carry = values[0] if common is None else common
     correlated = common is None and options.remainder_mode == "correlated" and fam.correlated
     warnings: list[str] = []

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
 from .numbers import _shown, _typed
-from .operators import _FAMILIES, DEFAULT_OPTIONS, Form, OperatorSpec, TransformResult
+from .operators import DEFAULT_OPTIONS, Form, OperatorSpec, TransformResult
 from .operators import _repeated, _transform
 
 # Not called here: run applies each step through _transform.  The benchmark's
@@ -40,14 +40,14 @@ from .operators import apply_D, apply_F, apply_L, apply_M  # noqa: F401
 Multeity = dict[str, FuzzyScalar]
 
 
-def valence_matches(form: Form, w: int, v: int) -> bool:
+def valence_matches(form: Form | str, w: int, v: int) -> bool:
     """Strict operand/image counts per form: L=(1,1), D=(1,>=2), F=(>=2,1), M=(>=2,>=2).
 
     The operator functions themselves are deliberately looser (any W, V >= 1)
     so degenerate valences can be cross-checked; scenarios enforce this rule.
     """
-    one_operand, one_image = form in ("L", "D"), form in ("L", "F")  # a Form is its str value
-    return (w == 1 if one_operand else w >= 2) and (v == 1 if one_image else v >= 2)
+    form = Form(form)  # a member or its letter
+    return (w >= 2 if form.fuses else w == 1) and (v >= 2 if form.fans_out else v == 1)
 
 
 class Scenario(_Record):
@@ -205,7 +205,7 @@ def run(scenario: Scenario) -> Trace:
     for index, (step, joint) in enumerate(zip(scenario.steps, joints)):
         try:
             result = _transform(
-                _FAMILIES[joint], step, [current[e] for e in step.operands],
+                joint, step, [current[e] for e in step.operands],
                 [current[e] for e in step.images], scenario.options,
             )
         except (FuzzySnsError, ValueError) as exc:
