@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one argument-type rule."""
+
+from collections.abc import Iterable
+
+
+def _typed(value, cls: type, name: str):
+    """The one argument-type rule: ``value`` if it is a ``cls``, else a TypeError naming it."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be {cls.__name__}, not {type(value).__name__}")
+    return value
 
 
 class FuzzySnsError(Exception):
@@ -25,7 +34,7 @@ class ScenarioValidationError(FuzzySnsError, ValueError):
     """A scenario failed validation; carries the diagnostics list."""
 
     def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
+        self.diagnostics = list(_typed(diagnostics, Iterable, "diagnostics"))
         lines = "; ".join(str(d) for d in self.diagnostics)
         super().__init__(f"scenario is not runnable: {lines}")
 

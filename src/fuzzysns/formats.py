@@ -20,7 +20,7 @@ import re
 from collections.abc import Callable
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _typed
 from .numbers import (
     DiscreteFuzzyNumber,
     FuzzyScalar,
@@ -28,7 +28,6 @@ from .numbers import (
     _fraction_from_text,
     _grade_text,
     _is_int,
-    _typed,
     family,
     format_fraction,
 )
@@ -63,7 +62,9 @@ def _int_from_text(text: str) -> int:
 
 
 def format_scalar(value: FuzzyScalar) -> str:
-    """The literal of a crisp, triangular or discrete value; each type's ``str``."""
+    """The literal of a crisp, triangular or discrete value, each type's ``str``; any other
+    value, a ``bool`` included, is refused by :func:`family`."""
+    family(value)
     return str(value)
 
 
@@ -246,6 +247,7 @@ def scenario_from_json(text: str) -> Scenario:
     Nesting too deep to read, numbers too long to convert, exponents beyond
     ``MAX_EXPONENT`` and a key repeated within one object are parse errors too.
     """
+    _typed(text, str, "text")
     try:
         doc = json.loads(text, parse_float=_fraction_from_text, object_pairs_hook=_unique_keys)
         return _scenario_from_doc(doc)
@@ -271,9 +273,7 @@ def _scenario_from_doc(doc: object) -> Scenario:
             raise ParseError(f"{where}: entity id must be a nonempty string")
         if entity_id in initial:
             raise ParseError(f"{where}: duplicate entity id {entity_id!r}")
-        value = node["value"]
-        if type(value) is not int:
-            value = _scalar_from_json(value, f"{where}.value")
+        value = _scalar_from_json(node["value"], f"{where}.value")
         kind = node.get("kind")
         if kind is not None and kind != family(value):
             raise ParseError(

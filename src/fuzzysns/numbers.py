@@ -29,7 +29,7 @@ from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .errors import DomainError, InvalidRadixError, MixedFamilyError
+from .errors import DomainError, InvalidRadixError, MixedFamilyError, _typed
 
 GradeLike = int | float | str | Fraction
 _ONE = Fraction(1)  # the grade of a lifted crisp value and of a formed carry's mode
@@ -56,11 +56,18 @@ def _shown(value, show=repr) -> str:
     return text if text.isprintable() else _json_str(text)  # a line break shows as \n
 
 
-def _typed(value, cls: type, name: str):
-    """The one argument-type rule: ``value`` if it is a ``cls``, else a TypeError naming it."""
-    if not isinstance(value, cls):
-        raise TypeError(f"{name} must be {cls.__name__}, not {type(value).__name__}")
-    return value
+def _pairs(items, name: str) -> Iterable[tuple]:
+    """The one pairs rule: a mapping's items, else each item of the iterable ``items``
+    unpacked as a pair; a TypeError or DomainError names ``name``."""
+    if isinstance(items, Mapping):
+        yield from items.items()
+        return
+    for item in _typed(items, Iterable, name):
+        try:
+            first, second = item
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a mapping or pairs, got {_shown(item)}") from None
+        yield first, second
 
 
 def _as_int(value, what: str) -> int:
@@ -241,9 +248,8 @@ class DiscreteFuzzyNumber(_Record):
         self.__post_init__(points)
 
     def __post_init__(self, points):
-        items: Iterable = points.items() if isinstance(points, Mapping) else points
         seen: dict[int, Fraction] = {}
-        for value, grade in items:
+        for value, grade in _pairs(points, "points"):
             value = _as_int(value, "support value")
             if value in seen:
                 raise DomainError(f"duplicate support value {_shown(value, str)}")
@@ -329,7 +335,7 @@ def joint_family(values: Iterable[FuzzyScalar]) -> str:
 
     Raises MixedFamilyError when discrete and triangular values are combined.
     """
-    return _join_families(map(family, values))
+    return _join_families(map(family, _typed(values, Iterable, "values")))
 
 
 def lift_triangular(value: FuzzyScalar) -> TriangularFuzzyNumber:
@@ -533,6 +539,7 @@ def dfn_zadeh_binary(
     called exactly once per support pair, always as ``op(x, y)`` with ``x``
     from ``a``.  The choice rests on ``op``'s identity and the operands alone.
     """
+    _typed(op, Callable, "op")
     _operands(lift_discrete, "sup-min extension needs discrete fuzzy numbers", a, b)
     levels = _grade_levels(a, b)
     if op is operator.add or op is operator.sub:

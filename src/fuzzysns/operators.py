@@ -32,7 +32,7 @@ from enum import Enum
 from functools import reduce
 from types import SimpleNamespace
 
-from .errors import DomainError, OperatorSpecError
+from .errors import DomainError, OperatorSpecError, _typed
 from .numbers import (
     CRISP, DISCRETE, TRIANGULAR, DiscreteFuzzyNumber, FuzzyScalar, TriangularFuzzyNumber,
     _ONE, _Record, _as_int, _check_natural, _check_radix, _lowest, _shown, dfn_floor_div, dfn_mod,
@@ -158,8 +158,8 @@ class TransformResult(_Record):
 # --- per-family arithmetic ---------------------------------------------------
 
 def _check_partials(partials: Sequence, cls: type, what: str) -> None:
-    """The one partial-carry rule: at least one partial carry, each a ``cls``."""
-    if not partials:
+    """The one partial-carry rule: a sequence of at least one partial carry, each a ``cls``."""
+    if not _typed(partials, Sequence, "partials"):
         raise OperatorSpecError("common carry needs at least one partial carry")
     for p in partials:
         if not isinstance(p, cls):
@@ -280,6 +280,10 @@ def _apply(
     operand_ids: Sequence[str] | None, image_ids: Sequence[str] | None,
 ) -> TransformResult:
     """One public call: every check in order, then its :class:`OperatorSpec` run in its family."""
+    for name, values in (("operands", operands), ("images", images), ("radices", radices),
+                         ("rates", rates)):
+        _typed(values, Sequence, name)
+    _typed(options, TransformOptions, "options")
     if len(operands) != len(radices):
         raise OperatorSpecError(f"{len(operands)} operands but {len(radices)} radices")
     if len(images) != len(rates):

@@ -18,6 +18,7 @@ from functools import reduce
 from operator import add, floordiv, mod, mul, sub
 from types import SimpleNamespace
 
+from .errors import _typed
 from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber
 
 
@@ -25,6 +26,9 @@ def zadeh_oracle(
     op: Callable[[int, int], int], a: DiscreteFuzzyNumber, b: DiscreteFuzzyNumber
 ) -> DiscreteFuzzyNumber:
     """Literal sup-min evaluation: bucket every pair, then take max of mins."""
+    _typed(op, Callable, "op")
+    _typed(a, DiscreteFuzzyNumber, "a")
+    _typed(b, DiscreteFuzzyNumber, "b")
     buckets: dict[int, list[Fraction]] = {}
     b_points = b.points  # each read builds the pairs
     for x, grade_x in a.points:

@@ -27,10 +27,11 @@ from .errors import (
     MixedFamilyError,
     ScenarioValidationError,
     StepExecutionError,
+    _typed,
 )
 from .numbers import FuzzyScalar, _check_natural, _check_radix, _join_families, _Record, family
-from .numbers import _shown, _typed
-from .operators import DEFAULT_OPTIONS, Form, OperatorSpec, TransformResult
+from .numbers import _pairs, _shown
+from .operators import DEFAULT_OPTIONS, Form, OperatorSpec, TransformOptions, TransformResult
 from .operators import _repeated, _transform
 
 # Not called here: run applies each step through _transform.  The benchmark's
@@ -46,7 +47,7 @@ def valence_matches(form: Form | str, w: int, v: int) -> bool:
     The operator functions themselves are deliberately looser (any W, V >= 1)
     so degenerate valences can be cross-checked; scenarios enforce this rule.
     """
-    form = Form(form)  # a member or its letter
+    form, w, v = Form(form), _typed(w, int, "w"), _typed(v, int, "v")  # a Form or its letter
     return (w >= 2 if form.fuses else w == 1) and (v >= 2 if form.fans_out else v == 1)
 
 
@@ -54,7 +55,10 @@ class Scenario(_Record):
     __slots__ = ("initial", "steps", "options")
 
     def __init__(self, initial: Mapping, steps: Iterable[OperatorSpec], options=DEFAULT_OPTIONS):
-        self._init(dict(initial), tuple(steps), options)
+        initial, steps = dict(_pairs(initial, "initial")), tuple(_typed(steps, Iterable, "steps"))
+        for k, step in enumerate(steps):
+            _typed(step, OperatorSpec, f"steps[{k}]")
+        self._init(initial, steps, _typed(options, TransformOptions, "options"))
 
 
 class Diagnostic(_Record):

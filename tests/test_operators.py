@@ -639,12 +639,42 @@ def test_one_operator_spec_describes_every_call():
 
     for name in ("Form", "OperatorSpec"):
         assert getattr(fuzzysns, name) is getattr(scenario, name) is getattr(operators, name)
-    # Importing the module runs the package __init__, which loads scenario anyway: read the source.
-    with open(operators.__file__, encoding="utf-8") as source:
-        tree = ast.parse(source.read())
-    imported = set()  # each module and name imported, by its last dotted part
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
-            imported.update(name.rpartition(".")[2] for name in names)
+
+    def imported_by(module) -> set:
+        """Each module and name ``module``'s source imports, by its last dotted part."""
+        # Importing a module runs the package __init__, which loads them all: read the source.
+        with open(module.__file__, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                imported.update(name.rpartition(".")[2] for name in names)
+        return imported
+
+    imported = imported_by(operators)
     assert "numbers" in imported and not imported & {"scenario", "formats", "cli"}, imported
+    # Only operators maps a family tag to its arithmetic.
+    assert "_FAMILIES" not in imported_by(scenario)
+
+
+# The documented valence rule: L = (1, 1), D = (1, >=2), F = (>=2, 1), M = (>=2, >=2).
+_VALENCES = {
+    "L": {(1, 1)},
+    "D": {(1, 2), (1, 3)},
+    "F": {(2, 1), (3, 1)},
+    "M": {(2, 2), (2, 3), (3, 2), (3, 3)},
+}
+
+
+def test_a_form_states_its_shape_for_the_valence_rule_and_the_default_image_ids():
+    from fuzzysns import Form, valence_matches
+
+    for form in Form:
+        for given in (form, form.value):  # a member or its letter
+            counts = {(w, v) for w in range(4) for v in range(4) if valence_matches(given, w, v)}
+            assert counts == _VALENCES[form.value], given
+    # Images a call does not name are j1... for D and k1... for M.
+    assert list(apply_D(7, [0, 0], 2, [1, 1]).new_image_cardinals) == ["j1", "j2"]
+    result = apply_M([7, 9], [0, 0, 0], [2, 3], [1, 1, 1])
+    assert list(result.new_image_cardinals) == ["k1", "k2", "k3"]
