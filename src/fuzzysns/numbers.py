@@ -57,12 +57,9 @@ def _shown(value, show=repr) -> str:
 
 
 def _pairs(items, name: str) -> Iterable[tuple]:
-    """The one pairs rule: a mapping's items, else each item of the iterable ``items``
-    unpacked as a pair; a TypeError or DomainError names ``name``."""
-    if isinstance(items, Mapping):
-        yield from items.items()
-        return
-    for item in _typed(items, Iterable, name):
+    """The one pairs rule: a mapping's items, or each item of the iterable ``items`` as a
+    pair; a TypeError or DomainError names ``name``."""
+    for item in items.items() if isinstance(items, Mapping) else _typed(items, Iterable, name):
         try:
             first, second = item
         except (TypeError, ValueError):
