@@ -20,6 +20,7 @@ from .numbers import (
     dfn_mod,
     dfn_zadeh_binary,
     family,
+    format_fraction,
     joint_family,
     lift_discrete,
     lift_triangular,
@@ -41,7 +42,6 @@ from .errors import (
     StepExecutionError,
 )
 from .formats import (
-    format_fraction,
     format_scalar,
     parse_fraction,
     parse_scalar,

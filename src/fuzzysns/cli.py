@@ -24,14 +24,8 @@ from types import SimpleNamespace
 # run, scenario_from_json and format_scalar are called through this module's globals
 # because perfbench/tracer.py replaces them; the ROADMAP item on tracer hooks removes that.
 from .errors import DomainError, FuzzySnsError, ParseError, ScenarioValidationError
-from .formats import (
-    format_fraction,
-    format_scalar,
-    parse_discrete,
-    parse_triangular,
-    scenario_from_json,
-)
-from .numbers import _shown, tfn_membership
+from .formats import format_scalar, parse_discrete, parse_triangular, scenario_from_json
+from .numbers import _shown, format_fraction, tfn_membership
 from .operators import (
     REMAINDER_MODES, TransformOptions, TransformResult, common_carry_dfn, common_carry_tri,
 )

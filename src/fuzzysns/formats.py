@@ -29,9 +29,8 @@ from .numbers import (
     _grade_text,
     _is_int,
     family,
-    format_fraction,
 )
-from .operators import Form, OperatorSpec, TransformOptions
+from .operators import Form, OperatorSpec, TransformOptions, _repeated
 from .scenario import Scenario
 
 
@@ -230,14 +229,11 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's members as a dict; a key written twice in it is a ParseError."""
+    """A JSON object's members as a dict; a repeated key is a ParseError naming the first one."""
     members = dict(pairs)
     if len(members) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"key {key!r} appears more than once in one JSON object")
-            seen.add(key)
+        key = _repeated(key for key, _ in pairs)[0]
+        raise ParseError(f"key {key!r} appears more than once in one JSON object")
     return members
 
 

@@ -27,7 +27,8 @@ carry has no source value to correlate with.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from enum import Enum
 from functools import reduce
 from types import SimpleNamespace
@@ -91,7 +92,12 @@ class OperatorSpec(_Record):
         radices: Iterable[FuzzyScalar], rates: Iterable[FuzzyScalar],
     ):
         form = form if type(form) is Form else Form(form)
-        self._init(form, tuple(operands), tuple(images), tuple(radices), tuple(rates))
+        try:
+            self._init(form, tuple(operands), tuple(images), tuple(radices), tuple(rates))
+        except TypeError:  # name the argument that is not iterable
+            for name, value in zip(self.__slots__[1:], (operands, images, radices, rates)):
+                _typed(value, Iterable, name)
+            raise
 
 
 class TransformResult(_Record):
@@ -108,6 +114,7 @@ class TransformResult(_Record):
     __match_args__ = ("partial_carries", "common_carry", "remainders", "transformants",
                       "new_image_cardinals", "warnings")
     _WRITES = ("remainders", "new_image_cardinals")  # the fields a step writes back
+    _MAPS = ("partial_carries", "remainders", "transformants", "new_image_cardinals")
 
     def __init__(
         self, partial_carries: dict[str, FuzzyScalar], common_carry: FuzzyScalar | None,
@@ -115,7 +122,7 @@ class TransformResult(_Record):
         new_image_cardinals: dict[str, FuzzyScalar], warnings: tuple[str, ...] = (),
     ):
         maps = [partial_carries, remainders, transformants, new_image_cardinals]
-        p, r, q, n = keys = [tuple(m) for m in maps]
+        p, r, q, n = keys = [tuple(_typed(m, Mapping, name)) for m, name in zip(maps, self._MAPS)]
         if r != p or n != q:
             raise OperatorSpecError(f"remainders or new images keyed unlike partial carries or "
                                     f"transformants: {_shown(keys)}")
@@ -133,8 +140,7 @@ class TransformResult(_Record):
         return operator.itemgetter(*self._WRITES)(self._columns())
 
     partial_carries, remainders, transformants, new_image_cardinals = (
-        property(lambda self, name=name: dict(zip(*self._columns()[name])))
-        for name in ("partial_carries", "remainders", "transformants", "new_image_cardinals"))
+        property(lambda self, name=name: dict(zip(*self._columns()[name]))) for name in _MAPS)
 
     def _single(self, name: str, what: str) -> FuzzyScalar:
         ids, values = self._columns()[name]
@@ -252,22 +258,23 @@ _FAMILIES = {
 
 # --- the one operator algorithm ----------------------------------------------
 
-def _repeated(ids: Sequence) -> list:
+def _repeated(ids: Iterable) -> list:
     """The one repeated-id rule: each id listed more than once, in first-appearance order."""
-    counts = dict.fromkeys(ids, 0)
-    if len(counts) == len(ids):
-        return []
-    for i in ids:
-        counts[i] += 1
-    return [i for i, n in counts.items() if n > 1]
+    return [i for i, n in Counter(ids).items() if n > 1]
 
 
-def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
+def _ids(ids, count: int, role: str, several: bool, prefix: str) -> tuple:
+    """A call's ``role`` ids, each hashable: the one ``{role}_id``, or when ``several`` the
+    Sequence ``{role}_ids`` of ``count`` ids, None numbering ``prefix``; a TypeError names it."""
+    if not several:
+        return (_typed(ids, Hashable, f"{role}_id"),)
     if ids is None:
         return (prefix,) if count == 1 else tuple(f"{prefix}{k}" for k in range(1, count + 1))
-    out = tuple(ids)
+    out = tuple(_typed(ids, Sequence, f"{role}_ids"))
     if len(out) != count:
         raise OperatorSpecError(f"{len(out)} entity ids for {count} values")
+    for k, i in enumerate(out):
+        _typed(i, Hashable, f"{role}_ids[{k}]")
     if repeated := _repeated(out):
         raise OperatorSpecError(f"entity ids listed more than once: {_shown(repeated)}")
     return out
@@ -276,8 +283,7 @@ def _ids(ids: Sequence[str] | None, count: int, prefix: str) -> tuple[str, ...]:
 def _apply(
     form: Form, operands: Sequence[FuzzyScalar], images: Sequence[FuzzyScalar],
     radices: Sequence[FuzzyScalar], rates: Sequence[FuzzyScalar],
-    options: TransformOptions,
-    operand_ids: Sequence[str] | None, image_ids: Sequence[str] | None,
+    options: TransformOptions, operand_ids, image_ids,
 ) -> TransformResult:
     """One public call: every check in order, then its :class:`OperatorSpec` run in its family."""
     for name, values in (("operands", operands), ("images", images), ("radices", radices),
@@ -291,8 +297,9 @@ def _apply(
     if not operands or not images:
         raise OperatorSpecError("an operator needs at least one operand and one image")
     joint = joint_family((*operands, *images, *radices, *rates))
-    step = OperatorSpec(form, _ids(operand_ids, len(operands), "i"),
-                        _ids(image_ids, len(images), "k" if form.fuses else "j"), radices, rates)
+    step = OperatorSpec(form, _ids(operand_ids, len(operands), "operand", form.fuses, "i"),
+                        _ids(image_ids, len(images), "image", form.fans_out,
+                             "k" if form.fuses else "j"), radices, rates)
     for n in step.radices:
         _check_radix(n)
     for big_n in operands:  # before the rates; _transform checks them again
@@ -353,9 +360,7 @@ def apply_L(
     options: TransformOptions = DEFAULT_OPTIONS, operand_id: str = "i", image_id: str = "j",
 ) -> TransformResult:
     """Line operator over one operand and one image, in any fuzziness pattern."""
-    return _apply(
-        Form.L, (operand,), (image,), (radix,), (rate,), options, (operand_id,), (image_id,)
-    )
+    return _apply(Form.L, (operand,), (image,), (radix,), (rate,), options, operand_id, image_id)
 
 
 def apply_D(
@@ -365,7 +370,7 @@ def apply_D(
     operand_id: str = "i", image_ids: Sequence[str] | None = None,
 ) -> TransformResult:
     """Distribution operator: one carry and remainder, a fan-out per image."""
-    return _apply(Form.D, (operand,), images, (radix,), rates, options, (operand_id,), image_ids)
+    return _apply(Form.D, (operand,), images, (radix,), rates, options, operand_id, image_ids)
 
 
 def apply_F(
@@ -375,7 +380,7 @@ def apply_F(
     operand_ids: Sequence[str] | None = None, image_id: str = "k",
 ) -> TransformResult:
     """Fusion operator: a common carry formed from all partial carries."""
-    return _apply(Form.F, operands, (image,), radices, (rate,), options, operand_ids, (image_id,))
+    return _apply(Form.F, operands, (image,), radices, (rate,), options, operand_ids, image_id)
 
 
 def apply_M(
@@ -388,7 +393,11 @@ def apply_M(
     return _apply(Form.M, operands, images, radices, rates, options, operand_ids, image_ids)
 
 
-def _require_ints(*values) -> None:
+def _require_ints(*values, **plurals) -> None:
+    """The crisp int rule: each of ``values``, then each item of each plural argument, every
+    plural argument first a Sequence by name."""
+    for name, items in plurals.items():
+        values += tuple(_typed(items, Sequence, name))
     for value in values:
         _as_int(value, "crisp operator argument")
 
@@ -411,7 +420,7 @@ def crisp_D(
     operand_id: str = "i", image_ids: Sequence[str] | None = None,
 ) -> TransformResult:
     """Distribution operator over natural numbers: one carry fans out to several images."""
-    _require_ints(operand, *images, radix, *rates)
+    _require_ints(operand, radix, images=images, rates=rates)
     return apply_D(operand, images, radix, rates, operand_id=operand_id, image_ids=image_ids)
 
 
@@ -424,7 +433,7 @@ def crisp_F(
     Remainders subtract the common carry (N_w - p * n_w), which differs from
     N_w mod n_w whenever the common carry is below an operand's own carry.
     """
-    _require_ints(*operands, image, *radices, rate)
+    _require_ints(image, rate, operands=operands, radices=radices)
     return apply_F(operands, image, radices, rate, operand_ids=operand_ids, image_id=image_id)
 
 
@@ -433,5 +442,5 @@ def crisp_M(
     *, operand_ids: Sequence[str] | None = None, image_ids: Sequence[str] | None = None,
 ) -> TransformResult:
     """Multi operator over natural numbers: fusion-style carry, distribution-style fan-out."""
-    _require_ints(*operands, *images, *radices, *rates)
+    _require_ints(operands=operands, images=images, radices=radices, rates=rates)
     return apply_M(operands, images, radices, rates, operand_ids=operand_ids, image_ids=image_ids)

@@ -1,9 +1,9 @@
 """Independent brute-force verifiers used by the test suite and the CLI.
 
-Nothing here shares arithmetic helpers with the production modules: the
-sup-min evaluator re-enumerates every support pair into buckets, and interval
-arithmetic and the common-carry rule are written inline.  Agreement between
-these and the production paths is therefore evidence, not tautology.
+Nothing here shares arithmetic helpers with the production modules: the sup-min evaluator
+re-enumerates every support pair into buckets, and interval arithmetic and the common-carry
+rule are written inline (levels are read by ``numbers._exact``, which computes nothing).
+Agreement between these and the production paths is therefore evidence, not tautology.
 :func:`equivalence_suite` re-derives every output of an L, D, F or M call in
 either fuzzy family, either remainder mode and with or without the clamp.
 Performance is a non-goal; the evaluator is quadratic in support size.
@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from functools import reduce
 from operator import add, floordiv, mod, mul, sub
 from types import SimpleNamespace
 
 from .errors import _typed
-from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber
+from .numbers import DiscreteFuzzyNumber, TriangularFuzzyNumber, _exact
 
 
 def zadeh_oracle(
@@ -48,19 +48,22 @@ def alpha_cut_check(
     b: TriangularFuzzyNumber,
     op: str,
     result: TriangularFuzzyNumber,
-    levels: Sequence,
+    levels: Iterable,
 ) -> bool:
     """Check a triangular add/sub result against interval arithmetic per level.
 
-    At each level the alpha-cut of ``result`` must equal the interval
-    combination of the alpha-cuts of ``a`` and ``b`` in exact rationals.
+    At each level, read by ``numbers._exact`` (a float by its decimal repr, a bool refused),
+    the alpha-cut of ``result`` must equal the interval combination of the alpha-cuts of ``a``
+    and ``b`` in exact rationals.
     Multiplication and division are deliberately unsupported: the
     componentwise rules for those are not interval arithmetic in general.
     """
+    for name, value in (("a", a), ("b", b), ("result", result)):
+        _typed(value, TriangularFuzzyNumber, name)
     if op not in ("add", "sub"):
         raise ValueError(f"alpha-cut check supports add/sub only, got {op!r}")
-    for raw in levels:
-        level = Fraction(repr(raw)) if isinstance(raw, float) else Fraction(raw)
+    for raw in _typed(levels, Iterable, "levels"):
+        level = _exact(raw, "level")
         if not 0 <= level <= 1:
             raise ValueError(f"level {level} outside [0, 1]")
         a_lo, a_hi = _cut(a, level)

@@ -6,9 +6,11 @@ AttributeError, unpacking ValueError or TypeError with another message escapes. 
 by ``Form``, whose ValueError for what is not a form is kept.
 """
 
+import functools
 import inspect
 import itertools
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,3 +256,178 @@ def test_a_refusal_names_the_parameter_or_the_value(call, error, message):
 def test_format_scalar_refuses_any_other_object():
     with pytest.raises(FuzzySnsError, match="^not a fuzzy scalar: <object object at "):
         fuzzysns.format_scalar(object())
+
+
+# --- the keyword and 4-or-more-parameter paths --------------------------------------------
+
+_TRI_SUM = TriangularFuzzyNumber(2, 4, 6)
+# Every callable with a keyword or 4 or more parameters that the table above does not reach:
+# a valid call, by keyword.
+_VALID_CALLS = {
+    "apply_L": dict(operand=5, image=0, radix=2, rate=1, options=TransformOptions(),
+                    operand_id="a", image_id="b"),
+    "apply_D": dict(operand=5, images=[0, 0], radix=2, rates=[1, 1], options=TransformOptions(),
+                    operand_id="a", image_ids=["b", "c"]),
+    "apply_F": dict(operands=[5, 7], image=0, radices=[2, 3], rate=1, options=TransformOptions(),
+                    operand_ids=["a", "c"], image_id="b"),
+    "apply_M": dict(operands=[5, 7], images=[0, 0], radices=[2, 3], rates=[1, 1],
+                    options=TransformOptions(), operand_ids=["a", "c"], image_ids=["b", "d"]),
+    "crisp_L": dict(operand=5, image=0, radix=2, rate=1, operand_id="a", image_id="b"),
+    "crisp_D": dict(operand=5, images=[0, 0], radix=2, rates=[1, 1], operand_id="a",
+                    image_ids=["b", "c"]),
+    "crisp_F": dict(operands=[5, 7], image=0, radices=[2, 3], rate=1, operand_ids=["a", "c"],
+                    image_id="b"),
+    "crisp_M": dict(operands=[5, 7], images=[0, 0], radices=[2, 3], rates=[1, 1],
+                    operand_ids=["a", "c"], image_ids=["b", "d"]),
+    "OperatorSpec": dict(form="L", operands=["a"], images=["b"], radices=[2], rates=[1]),
+    "TransformResult": dict(partial_carries={"a": 2}, common_carry=None, remainders={"a": 1},
+                            transformants={"b": 2}, new_image_cardinals={"b": 2}, warnings=()),
+    "alpha_cut_check": dict(a=_TRI, b=_TRI, op="add", result=_TRI_SUM,
+                            levels=[0, Fraction(1, 2), 1]),
+    "TransformOptions": dict(remainder_mode="extension", clamp_negative=True),
+}
+
+# (callable, parameter) -> the outcome of each value of _ZOO in that parameter, the other
+# arguments as in _VALID_CALLS: the letters of _TABLE, and "D" for one of alpha_cut_check's
+# documented ValueErrors (an op other than add or sub, a level outside [0, 1]).
+_KEYWORD_TABLE = {
+    ("apply_L", "operand"): "E.EEEEEEEE..E",
+    ("apply_L", "image"): "E.EEEEEEEE..E",
+    ("apply_L", "radix"): "E.EEEEEEEE..E",
+    ("apply_L", "rate"): "E.EEEEEEEE..E",
+    ("apply_L", "options"): "TTTTTTTTTTTTT",
+    ("apply_L", "operand_id"): "......T.T....",
+    ("apply_L", "image_id"): "......T.T....",
+    ("apply_D", "operand"): "E.EEEEEEEE..E",
+    ("apply_D", "images"): "TTTTTEEETTTTT",
+    ("apply_D", "radix"): "E.EEEEEEEE..E",
+    ("apply_D", "rates"): "TTTTTEEETTTTT",
+    ("apply_D", "options"): "TTTTTTTTTTTTT",
+    ("apply_D", "operand_id"): "......T.T....",
+    ("apply_D", "image_ids"): ".TTTTEEETTTTT",
+    ("apply_F", "operands"): "TTTTTEEETTTTT",
+    ("apply_F", "image"): "E.EEEEEEEE..E",
+    ("apply_F", "radices"): "TTTTTEEETTTTT",
+    ("apply_F", "rate"): "E.EEEEEEEE..E",
+    ("apply_F", "options"): "TTTTTTTTTTTTT",
+    ("apply_F", "operand_ids"): ".TTTTEEETTTTT",
+    ("apply_F", "image_id"): "......T.T....",
+    ("apply_M", "operands"): "TTTTTEEETTTTT",
+    ("apply_M", "images"): "TTTTTEEETTTTT",
+    ("apply_M", "radices"): "TTTTTEEETTTTT",
+    ("apply_M", "rates"): "TTTTTEEETTTTT",
+    ("apply_M", "options"): "TTTTTTTTTTTTT",
+    ("apply_M", "operand_ids"): ".TTTTEEETTTTT",
+    ("apply_M", "image_ids"): ".TTTTEEETTTTT",
+    ("crisp_L", "operand"): "E.EEEEEEEEEEE",
+    ("crisp_L", "image"): "E.EEEEEEEEEEE",
+    ("crisp_L", "radix"): "E.EEEEEEEEEEE",
+    ("crisp_L", "rate"): "E.EEEEEEEEEEE",
+    ("crisp_L", "operand_id"): "......T.T....",
+    ("crisp_L", "image_id"): "......T.T....",
+    ("crisp_D", "operand"): "E.EEEEEEEEEEE",
+    ("crisp_D", "images"): "TTTTTEEETTTTT",
+    ("crisp_D", "radix"): "E.EEEEEEEEEEE",
+    ("crisp_D", "rates"): "TTTTTEEETTTTT",
+    ("crisp_D", "operand_id"): "......T.T....",
+    ("crisp_D", "image_ids"): ".TTTTEEETTTTT",
+    ("crisp_F", "operands"): "TTTTTEEETTTTT",
+    ("crisp_F", "image"): "E.EEEEEEEEEEE",
+    ("crisp_F", "radices"): "TTTTTEEETTTTT",
+    ("crisp_F", "rate"): "E.EEEEEEEEEEE",
+    ("crisp_F", "operand_ids"): ".TTTTEEETTTTT",
+    ("crisp_F", "image_id"): "......T.T....",
+    ("crisp_M", "operands"): "TTTTTEEETTTTT",
+    ("crisp_M", "images"): "TTTTTEEETTTTT",
+    ("crisp_M", "radices"): "TTTTTEEETTTTT",
+    ("crisp_M", "rates"): "TTTTTEEETTTTT",
+    ("crisp_M", "operand_ids"): ".TTTTEEETTTTT",
+    ("crisp_M", "image_ids"): ".TTTTEEETTTTT",
+    ("OperatorSpec", "form"): "VVVVVVVVVVVVV",
+    ("OperatorSpec", "operands"): "TTTTT....TTTT",
+    ("OperatorSpec", "images"): "TTTTT....TTTT",
+    ("OperatorSpec", "radices"): "TTTTT....TTTT",
+    ("OperatorSpec", "rates"): "TTTTT....TTTT",
+    ("TransformResult", "partial_carries"): "TTTTTTTTETTTT",
+    ("TransformResult", "common_carry"): ".............",
+    ("TransformResult", "remainders"): "TTTTTTTTETTTT",
+    ("TransformResult", "transformants"): "TTTTTTTTETTTT",
+    ("TransformResult", "new_image_cardinals"): "TTTTTTTTETTTT",
+    ("TransformResult", "warnings"): ".............",
+    ("alpha_cut_check", "a"): "TTTTTTTTTT.TT",
+    ("alpha_cut_check", "b"): "TTTTTTTTTT.TT",
+    ("alpha_cut_check", "op"): "DDDDDDDDDDDDD",
+    ("alpha_cut_check", "result"): "TTTTTTTTTT.TT",
+    ("alpha_cut_check", "levels"): "TTTTTE.D.TTTT",
+    ("TransformOptions", "remainder_mode"): "EEEEEEEEEEEEE",
+    ("TransformOptions", "clamp_negative"): "EEE.EEEEEEEEE",
+}
+_DOCUMENTED = r"alpha-cut check supports add/sub only, got |level .* outside \[0, 1\]$"
+
+
+def _keyword_outcome(name: str, arguments: dict) -> str:
+    """The letter of one call by keyword; a broken contract raises it."""
+    function = getattr(fuzzysns, name)
+    try:
+        return _outcome(functools.partial(function, **arguments), ())
+    except ValueError as exc:
+        if name == "alpha_cut_check" and re.match(_DOCUMENTED, str(exc)):
+            return "D"
+        raise
+
+
+def test_the_keyword_table_covers_every_parameter_of_its_callables():
+    assert set(_KEYWORD_TABLE) == {
+        (name, parameter) for name in _VALID_CALLS
+        for parameter in inspect.signature(getattr(fuzzysns, name)).parameters
+    }
+
+
+@pytest.mark.parametrize("name,parameter", _KEYWORD_TABLE,
+                         ids=[f"{n}-{p}" for n, p in _KEYWORD_TABLE])
+def test_each_value_in_each_keyword_has_its_outcome(name, parameter):
+    valid = _VALID_CALLS[name]
+    assert _keyword_outcome(name, valid) == "."
+    outcomes = [_keyword_outcome(name, {**valid, parameter: value}) for value in _ZOO]
+    assert {o[1:] for o in outcomes if o.startswith("T")} <= {parameter}
+    assert "".join(o[0] for o in outcomes) == _KEYWORD_TABLE[name, parameter]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: fuzzysns.crisp_D(1, 7, 2, 7), "images must be Sequence, not int"),
+    (lambda: fuzzysns.crisp_F([1], 0, 7, 1), "radices must be Sequence, not int"),
+    (lambda: fuzzysns.apply_D(1, [0], 2, [1], image_ids=7), "image_ids must be Sequence, not int"),
+    (lambda: fuzzysns.apply_L(7, 0, 3, 1, operand_id=[]), "operand_id must be Hashable, not list"),
+    (lambda: fuzzysns.apply_L(7, 0, 3, 1, image_id=[]), "image_id must be Hashable, not list"),
+    (lambda: fuzzysns.apply_F([7, 9], 0, [3, 2], 1, operand_ids=["a", ["b"]]),
+     "operand_ids[1] must be Hashable, not list"),
+    (lambda: OperatorSpec("L", 7, ["b"], [2], [1]), "operands must be Iterable, not int"),
+    (lambda: OperatorSpec("L", ["a"], ["b"], [2], None), "rates must be Iterable, not NoneType"),
+    (lambda: fuzzysns.TransformResult(7, None, {}, {}, {}),
+     "partial_carries must be Mapping, not int"),
+    (lambda: fuzzysns.alpha_cut_check(7, _TRI, "add", _TRI_SUM, [0]),
+     "a must be TriangularFuzzyNumber, not int"),
+    (lambda: fuzzysns.alpha_cut_check(_TRI, _TRI, "add", _TRI_SUM, 7),
+     "levels must be Iterable, not int"),
+])
+def test_a_keyword_or_plural_argument_of_the_wrong_type_is_named(call, message):
+    with pytest.raises(TypeError) as caught:
+        call()
+    assert type(caught.value) is TypeError
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("level,message", [
+    ("1e-100000", "number '1e-100000' has an exponent beyond +-4300"),
+    (True, "level must be numeric, got True"),
+], ids=["exponent", "bool"])
+def test_alpha_cut_check_reads_each_level_by_the_exact_number_rule(level, message):
+    with pytest.raises(fuzzysns.DomainError) as caught:
+        fuzzysns.alpha_cut_check(_TRI, _TRI, "add", _TRI_SUM, [level])
+    assert str(caught.value) == message
+
+
+def test_a_json_object_with_two_repeated_keys_names_the_first_listed():
+    with pytest.raises(fuzzysns.ParseError) as caught:
+        fuzzysns.scenario_from_json('{"6": 1, "7": 1, "7": 1, "6": 1}')
+    assert str(caught.value) == "key '6' appears more than once in one JSON object"

@@ -4,15 +4,18 @@ Every record class behaves as a frozen record whose fields are listed in
 order: the repr is ``Name(field=value, ...)``, equality and hash go by the
 field tuple and only between instances of the same class, and no field can
 be assigned or deleted.  A second block checks that ``import fuzzysns.cli``
-loads none of the modules that ``eval`` does not need, and that ``__all__`` is
-exactly the package's public imports and the oracle's lazy names.
+loads none of the modules that ``eval`` does not need, that ``__all__`` is
+exactly the package's public imports and the oracle's lazy names, and that no
+module imports a name it does not use.
 """
 
+import ast
 import copy
 import functools
 import json
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +318,27 @@ def test_lazy_names_resolve_to_the_oracle_functions():
     with pytest.raises(AttributeError):
         fuzzysns.not_a_name
 
+
+
+def test_every_name_a_module_imports_is_used_in_it():
+    """No unused import in ``fuzzysns``: a name each module imports is read in it, but for
+    ``__init__``'s public names and lines marked ``# noqa: F401`` (the tracer's names)."""
+    unused = []
+    for path in sorted(Path(fuzzysns.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, tree = source.splitlines(), ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in "".join(lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                public = path.name == "__init__.py" and not name.startswith("_")
+                if name not in read and not public:
+                    unused.append(f"{path.stem}.{name}")
+    assert unused == []
 
 @pytest.mark.parametrize("record", [
     lambda: Scenario({10**5000: 1}, []),
